@@ -10,7 +10,7 @@
 //! contiguous [`CheckOp`] array — typed claims in argument order, then
 //! assertions — where every op carries its argument index, its
 //! pre-resolved [`CheckKind`], its cacheability, and a flattened
-//! [`OpAction`] that [`eval_op`] dispatches on with a single shallow
+//! [`OpAction`] that `eval_op` dispatches on with a single shallow
 //! match. The hot path walks a dense slice with no `Option` skips, no
 //! lattice match, and no allocation.
 //!
@@ -519,7 +519,7 @@ pub(crate) fn assertion_size(
 /// [`check_value_counted`](crate::checker::check_value_counted) (or,
 /// for assertions, through the wrapper's assertion loop): both paths
 /// call the same checker kernels with the same operands.
-pub fn eval_op(
+pub(crate) fn eval_op(
     world: &World,
     tables: &Tables,
     caps: &CheckCapabilities,

@@ -14,6 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use healers_libc::registry::CFunction;
 use healers_libc::{file, Libc, World};
 use healers_os::OpenFlags;
 use healers_simproc::{Addr, SimFault, SimValue};
@@ -371,18 +372,24 @@ struct CheckFailure {
     value: SimValue,
 }
 
+/// A repaired call: the fixed argument vector and the fixes applied.
+type Repaired = (Vec<SimValue>, Vec<Repair>);
+
 /// An in-flight wrapped call between its checks and its library call —
 /// the check-vs-call window, reified. Produced by
 /// [`RobustnessWrapper::begin_call`]; consumed by
 /// [`RobustnessWrapper::finish_call`]. Between the two, other simulated
 /// threads may mutate the world (free the checked buffer, close the
 /// checked stream) — exactly the TOCTOU races the threaded fuzzer
-/// explores and `revalidate_on_preempt` closes.
+/// explores and `revalidate_on_preempt` closes. It borrows the call's
+/// arguments and library function, so an admitted call with no
+/// repairs allocates nothing.
 #[derive(Debug, Clone)]
-pub struct PendingCall {
-    name: String,
+pub struct PendingCall<'a> {
     /// The original arguments as passed (pre-repair).
-    args: Vec<SimValue>,
+    args: &'a [SimValue],
+    /// The library function, resolved once at `begin_call`.
+    func: &'a CFunction,
     /// Dispatch slot; meaningless for [`PendingPhase::Bare`].
     idx: usize,
     phase: PendingPhase,
@@ -395,22 +402,19 @@ enum PendingPhase {
     /// Known but unwrapped (safe or disabled): call through and keep
     /// the tracking tables current.
     Passthrough,
-    /// Checks passed — possibly after repair, in which case `args`
-    /// carries the fixed values and `fixes` the record of them.
-    Admitted {
-        args: Vec<SimValue>,
-        fixes: Vec<Repair>,
-    },
+    /// Checks passed — possibly after repair, in which case `repaired`
+    /// carries the fixed arguments and the record of the fixes.
+    Admitted { repaired: Option<Repaired> },
     /// Checks failed with no safe substitute: the violation is
     /// delivered at finish (after the window — the refusal happens at
     /// the call point).
     Refused { failure: CheckFailure },
 }
 
-impl PendingCall {
+impl PendingCall<'_> {
     /// The function this call targets.
     pub fn function(&self) -> &str {
-        &self.name
+        &self.func.name
     }
 
     /// Whether the checks admitted the call (the library call will
@@ -667,6 +671,9 @@ fn strip_percent_n(fmt: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Validity-cache entries held before the cache is flushed wholesale.
+const CHECK_CACHE_CAP: usize = 4096;
+
 const TRACKED: [&str; 13] = [
     "malloc", "calloc", "realloc", "free", "strdup", "getcwd", "fopen", "fdopen", "tmpfile",
     "freopen", "fclose", "opendir", "closedir",
@@ -809,9 +816,36 @@ impl RobustnessWrapper {
     /// it has no claim plan (declared safe or disabled). Assertion ops
     /// are excluded — they relate multiple arguments of a concrete
     /// call, which a stateless validator cannot judge.
-    pub fn claim_ops(&self, id: FnId) -> Option<&[CheckOp]> {
+    fn claim_ops(&self, id: FnId) -> Option<&[CheckOp]> {
         let e = &self.entries[id.0 as usize];
         e.has_plan.then(|| e.plan.claim_ops())
+    }
+
+    /// Read-only claim check: walk the resolved function's typed-claim
+    /// ops over `args` against `world` and the wrapper's own tables,
+    /// touching nothing but `ctrs` — no stats, no validity cache. The
+    /// serve daemon's validator. `None` means the function has no claim
+    /// plan (declared safe or disabled); `Some(Err((arg, check)))`
+    /// names the first failing claim's argument index and type
+    /// notation.
+    pub fn check_claims(
+        &self,
+        world: &World,
+        id: FnId,
+        args: &[SimValue],
+        ctrs: &mut CheckCounters,
+    ) -> Option<Result<(), (usize, String)>> {
+        let ops = self.claim_ops(id)?;
+        let failed = ops
+            .iter()
+            .find(|op| !eval_op(world, &self.tables, &self.caps, args, op, ctrs));
+        Some(match failed {
+            None => Ok(()),
+            Some(op) => Err((
+                op.arg as usize,
+                op.ty.expect("claim ops carry a claim").notation(),
+            )),
+        })
     }
 
     /// The full compiled program for `name` (diagnostics and benches).
@@ -839,13 +873,14 @@ impl RobustnessWrapper {
         self.stats = WrapperStats::default();
     }
 
+    /// Deliver entry `idx`'s check failure under the violation policy.
     fn violation(
         &mut self,
         world: &mut World,
-        name: &str,
+        idx: usize,
         failure: &CheckFailure,
-        on_error: Option<(i32, Option<SimValue>)>,
     ) -> Result<(SimValue, Verdict), SimFault> {
+        let FnEntry { name, on_error, .. } = &self.entries[idx];
         let (arg, check) = (failure.arg, &failure.check);
         self.stats.violations += 1;
         self.m_violations.inc();
@@ -913,7 +948,10 @@ impl RobustnessWrapper {
     /// The interposed call with its explicit [`Verdict`]: what the
     /// checks decided about this call and — under
     /// [`ViolationAction::Repair`] — exactly which arguments were
-    /// fixed, with their before/after values.
+    /// fixed, with their before/after values. It is
+    /// [`begin_call`](RobustnessWrapper::begin_call) and
+    /// [`finish_call`](RobustnessWrapper::finish_call) with an empty
+    /// check-vs-call window.
     ///
     /// # Errors
     ///
@@ -932,113 +970,23 @@ impl RobustnessWrapper {
         // The telemetry gate: with tracing off this costs one relaxed
         // atomic load; with it on, the whole call (checks + library) is
         // timed into the per-function latency histogram.
-        if !healers_trace::enabled() {
-            return self.call_inner(libc, world, name, args);
+        let started = healers_trace::enabled().then(Instant::now);
+        // `begin_call`, `finish_call` and `check_or_repair` are
+        // `#[inline]` so this compiles to one function: the pending
+        // state never round-trips through memory on the hot path.
+        let pending = self.begin_call(libc, world, name, args);
+        let result = self.finish_call(libc, world, pending, false);
+        if let Some(started) = started {
+            let nanos = started.elapsed().as_nanos() as u64;
+            // The key is allocated only the first time a name is seen.
+            let telemetry = match self.stats.per_function.get_mut(name) {
+                Some(telemetry) => telemetry,
+                None => self.stats.per_function.entry(name.to_string()).or_default(),
+            };
+            telemetry.calls += 1;
+            telemetry.latency_ns.record(nanos);
         }
-        let started = Instant::now();
-        let result = self.call_inner(libc, world, name, args);
-        let nanos = started.elapsed().as_nanos() as u64;
-        let telemetry = self.stats.per_function.entry(name.to_string()).or_default();
-        telemetry.calls += 1;
-        telemetry.latency_ns.record(nanos);
         result
-    }
-
-    fn call_inner(
-        &mut self,
-        libc: &Libc,
-        world: &mut World,
-        name: &str,
-        args: &[SimValue],
-    ) -> Result<(SimValue, Verdict), SimFault> {
-        // The zero-allocation fast path: semantically a begin/finish
-        // pair with an empty check-vs-call window, but monolithic so
-        // the unpreempted call never materializes a [`PendingCall`]
-        // (no name clone, no argument vectors — the §7 overhead gate
-        // measures this path). The schedule-invariance tests pin the
-        // two paths to byte-identical observable histories, so the
-        // split windowed path cannot drift from this one.
-        self.stats.calls += 1;
-        self.m_calls.inc();
-        let func = libc
-            .get(name)
-            .unwrap_or_else(|| panic!("undefined symbol: {name}"));
-
-        // Recursion detection: a wrapped function internally invoking
-        // another wrapped function must reach the real library directly.
-        if self.in_flag {
-            world.proc.reset_fuel();
-            return func.invoke(world, args).map(|v| (v, Verdict::Pass));
-        }
-
-        // The single hoisted dispatch lookup: wrapped, safe, tracked,
-        // and error-return data resolve in one probe. A miss means the
-        // wrapper knows nothing about the function — straight through
-        // (tracked functions are always in the index).
-        let Some(&idx) = self.index.get(name) else {
-            world.proc.reset_fuel();
-            return func.invoke(world, args).map(|v| (v, Verdict::Pass));
-        };
-        let entry = &self.entries[idx];
-        let wrapped = entry.wrapped;
-        let track = entry.track;
-        let on_error = entry.on_error;
-        if !wrapped {
-            // Unwrapped (safe or disabled): call through, but keep the
-            // tracking tables current — the cost §5.2 points out.
-            world.proc.reset_fuel();
-            let result = func.invoke(world, args);
-            self.post_track(world, track, args, &result);
-            return result.map(|v| (v, Verdict::Pass));
-        }
-
-        self.stats.wrapped_calls += 1;
-        self.in_flag = true;
-        let check_started = self.config.measure.then(Instant::now);
-
-        // Prefix: the compiled program (or the interpreted reference).
-        let verdict = match self.mode {
-            PlanMode::Compiled => self.run_compiled(world, idx, args),
-            PlanMode::Interpreted => self.run_interpreted(world, idx, args),
-        };
-        if let Some(s) = check_started {
-            self.stats.time_checking += s.elapsed();
-        }
-        if let Err(failure) = verdict {
-            if self.config.action == ViolationAction::Repair {
-                match self.repair_call(libc, world, idx, args, failure) {
-                    Ok((repaired, fixes)) => {
-                        // The call proceeds with the fixed arguments.
-                        world.proc.reset_fuel();
-                        let lib_started = self.config.measure.then(Instant::now);
-                        let result = func.invoke(world, &repaired);
-                        if let Some(s) = lib_started {
-                            self.stats.time_in_library += s.elapsed();
-                        }
-                        self.in_flag = false;
-                        self.post_track(world, track, &repaired, &result);
-                        return result.map(|v| (v, Verdict::Repaired { fixes }));
-                    }
-                    Err(unrepairable) => {
-                        return self.violation(world, name, &unrepairable, on_error)
-                    }
-                }
-            }
-            return self.violation(world, name, &failure, on_error);
-        }
-
-        // The call itself.
-        world.proc.reset_fuel();
-        let lib_started = self.config.measure.then(Instant::now);
-        let result = func.invoke(world, args);
-        if let Some(s) = lib_started {
-            self.stats.time_in_library += s.elapsed();
-        }
-
-        // Postfix.
-        self.in_flag = false;
-        self.post_track(world, track, args, &result);
-        result.map(|v| (v, Verdict::Pass))
     }
 
     /// First half of the interposed call: dispatch and the prefix
@@ -1051,28 +999,30 @@ impl RobustnessWrapper {
     /// # Panics
     ///
     /// Panics if `name` is not exported by `libc`.
-    pub fn begin_call(
+    #[inline]
+    pub fn begin_call<'a>(
         &mut self,
-        libc: &Libc,
+        libc: &'a Libc,
         world: &mut World,
         name: &str,
-        args: &[SimValue],
-    ) -> PendingCall {
+        args: &'a [SimValue],
+    ) -> PendingCall<'a> {
         self.stats.calls += 1;
         self.m_calls.inc();
-        assert!(libc.get(name).is_some(), "undefined symbol: {name}");
-
-        let bare = |phase| PendingCall {
-            name: name.to_string(),
-            args: args.to_vec(),
-            idx: 0,
+        let func = libc
+            .get(name)
+            .unwrap_or_else(|| panic!("undefined symbol: {name}"));
+        let pending = |idx, phase| PendingCall {
+            args,
+            func,
+            idx,
             phase,
         };
 
         // Recursion detection: a wrapped function internally invoking
         // another wrapped function must reach the real library directly.
         if self.in_flag {
-            return bare(PendingPhase::Bare);
+            return pending(0, PendingPhase::Bare);
         }
 
         // The single hoisted dispatch lookup: wrapped, safe, tracked,
@@ -1080,62 +1030,25 @@ impl RobustnessWrapper {
         // wrapper knows nothing about the function — straight through
         // (tracked functions are always in the index).
         let Some(&idx) = self.index.get(name) else {
-            return bare(PendingPhase::Bare);
+            return pending(0, PendingPhase::Bare);
         };
         if !self.entries[idx].wrapped {
             // Unwrapped (safe or disabled): call through at finish, but
             // keep the tracking tables current — the cost §5.2 points
             // out.
-            return PendingCall {
-                name: name.to_string(),
-                args: args.to_vec(),
-                idx,
-                phase: PendingPhase::Passthrough,
-            };
+            return pending(idx, PendingPhase::Passthrough);
         }
 
         self.stats.wrapped_calls += 1;
         self.in_flag = true;
-        let check_started = self.config.measure.then(Instant::now);
-
-        // Prefix: the compiled program (or the interpreted reference).
-        let verdict = match self.mode {
-            PlanMode::Compiled => self.run_compiled(world, idx, args),
-            PlanMode::Interpreted => self.run_interpreted(world, idx, args),
-        };
-        if let Some(s) = check_started {
-            self.stats.time_checking += s.elapsed();
-        }
-        let phase = match verdict {
-            Ok(()) => PendingPhase::Admitted {
-                args: args.to_vec(),
-                fixes: Vec::new(),
-            },
-            Err(failure) => {
-                if self.config.action == ViolationAction::Repair {
-                    match self.repair_call(libc, world, idx, args, failure) {
-                        Ok((repaired, fixes)) => PendingPhase::Admitted {
-                            args: repaired,
-                            fixes,
-                        },
-                        Err(unrepairable) => PendingPhase::Refused {
-                            failure: unrepairable,
-                        },
-                    }
-                } else {
-                    PendingPhase::Refused { failure }
-                }
-            }
+        let phase = match self.check_or_repair(libc, world, idx, args, false) {
+            Ok(repaired) => PendingPhase::Admitted { repaired },
+            Err(failure) => PendingPhase::Refused { failure },
         };
         // The window itself runs with the recursion flag clear — the
         // steps another thread pulls into it are ordinary wrapped calls.
         self.in_flag = false;
-        PendingCall {
-            name: name.to_string(),
-            args: args.to_vec(),
-            idx,
-            phase,
-        }
+        pending(idx, phase)
     }
 
     /// Second half of the interposed call: the library call itself (or
@@ -1148,113 +1061,114 @@ impl RobustnessWrapper {
     /// # Errors
     ///
     /// Same contract as [`RobustnessWrapper::call`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pending call's function is not exported by `libc`
-    /// (it was at `begin_call` time, so only a different `libc` can
-    /// trip this).
+    #[inline]
     pub fn finish_call(
         &mut self,
         libc: &Libc,
         world: &mut World,
-        pending: PendingCall,
+        pending: PendingCall<'_>,
         preempted: bool,
     ) -> Result<(SimValue, Verdict), SimFault> {
         let PendingCall {
-            name,
             args,
+            func,
             idx,
             phase,
         } = pending;
-        let func = libc
-            .get(&name)
-            .unwrap_or_else(|| panic!("undefined symbol: {name}"));
-        match phase {
+        let mut repaired = match phase {
             PendingPhase::Bare => {
                 world.proc.reset_fuel();
-                func.invoke(world, &args).map(|v| (v, Verdict::Pass))
+                return func.invoke(world, args).map(|v| (v, Verdict::Pass));
             }
             PendingPhase::Passthrough => {
                 let track = self.entries[idx].track;
                 world.proc.reset_fuel();
-                let result = func.invoke(world, &args);
-                self.post_track(world, track, &args, &result);
-                result.map(|v| (v, Verdict::Pass))
+                let result = func.invoke(world, args);
+                self.post_track(world, track, args, &result);
+                return result.map(|v| (v, Verdict::Pass));
             }
-            PendingPhase::Refused { failure } => {
-                let on_error = self.entries[idx].on_error;
-                self.violation(world, &name, &failure, on_error)
-            }
-            PendingPhase::Admitted {
-                args: admitted,
-                mut fixes,
-            } => {
-                let mut admitted = admitted;
-                if preempted {
-                    self.stats.preempted_calls += 1;
-                    if self.config.revalidate_on_preempt {
-                        // The world may have changed under the admitted
-                        // arguments; check again before trusting them.
-                        self.stats.window_rechecks += 1;
-                        let verdict = match self.mode {
-                            PlanMode::Compiled => self.run_compiled(world, idx, &admitted),
-                            PlanMode::Interpreted => self.run_interpreted(world, idx, &admitted),
-                        };
-                        if let Err(failure) = verdict {
-                            self.stats.recheck_failures += 1;
-                            flight().record(
-                                "window-recheck-failure",
-                                &name,
-                                &format!(
-                                    "argument {} failed {} after preemption",
-                                    failure.arg, failure.check
-                                ),
-                            );
-                            if self.config.action == ViolationAction::Repair {
-                                match self.repair_call(libc, world, idx, &admitted, failure) {
-                                    Ok((repaired, more)) => {
-                                        admitted = repaired;
-                                        fixes.extend(more);
-                                    }
-                                    Err(unrepairable) => {
-                                        let on_error = self.entries[idx].on_error;
-                                        return self.violation(
-                                            world,
-                                            &name,
-                                            &unrepairable,
-                                            on_error,
-                                        );
-                                    }
-                                }
-                            } else {
-                                let on_error = self.entries[idx].on_error;
-                                return self.violation(world, &name, &failure, on_error);
-                            }
-                        }
+            PendingPhase::Refused { failure } => return self.violation(world, idx, &failure),
+            PendingPhase::Admitted { repaired } => repaired,
+        };
+        if preempted {
+            self.stats.preempted_calls += 1;
+            if self.config.revalidate_on_preempt {
+                // The world may have changed under the admitted
+                // arguments; check again before trusting them.
+                self.stats.window_rechecks += 1;
+                let admitted = repaired.as_ref().map_or(args, |(fixed, _)| fixed);
+                match self.check_or_repair(libc, world, idx, admitted, true) {
+                    Ok(None) => {}
+                    Ok(Some((fixed, more))) => {
+                        let mut fixes = repaired.map(|(_, fixes)| fixes).unwrap_or_default();
+                        fixes.extend(more);
+                        repaired = Some((fixed, fixes));
                     }
+                    Err(failure) => return self.violation(world, idx, &failure),
                 }
-
-                // The call itself.
-                let track = self.entries[idx].track;
-                self.in_flag = true;
-                world.proc.reset_fuel();
-                let lib_started = self.config.measure.then(Instant::now);
-                let result = func.invoke(world, &admitted);
-                if let Some(s) = lib_started {
-                    self.stats.time_in_library += s.elapsed();
-                }
-
-                // Postfix.
-                self.in_flag = false;
-                self.post_track(world, track, &admitted, &result);
-                let verdict = if fixes.is_empty() {
-                    Verdict::Pass
-                } else {
-                    Verdict::Repaired { fixes }
-                };
-                result.map(|v| (v, verdict))
             }
+        }
+
+        // The call itself.
+        let admitted = repaired.as_ref().map_or(args, |(fixed, _)| fixed);
+        let track = self.entries[idx].track;
+        self.in_flag = true;
+        world.proc.reset_fuel();
+        let lib_started = self.config.measure.then(Instant::now);
+        let result = func.invoke(world, admitted);
+        if let Some(s) = lib_started {
+            self.stats.time_in_library += s.elapsed();
+        }
+
+        // Postfix.
+        self.in_flag = false;
+        self.post_track(world, track, admitted, &result);
+        let verdict = match repaired {
+            None => Verdict::Pass,
+            Some((_, fixes)) => Verdict::Repaired { fixes },
+        };
+        result.map(|v| (v, verdict))
+    }
+
+    /// Run entry `idx`'s prefix over `args` and, when a check fails,
+    /// repair under [`ViolationAction::Repair`] or refuse. `Ok(None)`
+    /// admits `args` as passed; `Ok(Some(..))` admits the repaired
+    /// arguments with the fixes applied; `Err` carries the failure to
+    /// deliver. `recheck` marks the re-validation at the end of a
+    /// preempted window, whose failures are tallied and recorded as
+    /// caught TOCTOU mutations.
+    #[inline]
+    fn check_or_repair(
+        &mut self,
+        libc: &Libc,
+        world: &mut World,
+        idx: usize,
+        args: &[SimValue],
+        recheck: bool,
+    ) -> Result<Option<Repaired>, CheckFailure> {
+        let check_started = self.config.measure.then(Instant::now);
+        let verdict = self.run_checks(world, idx, args);
+        if let Some(s) = check_started {
+            self.stats.time_checking += s.elapsed();
+        }
+        let Err(failure) = verdict else {
+            return Ok(None);
+        };
+        if recheck {
+            self.stats.recheck_failures += 1;
+            flight().record(
+                "window-recheck-failure",
+                &self.entries[idx].name,
+                &format!(
+                    "argument {} failed {} after preemption",
+                    failure.arg, failure.check
+                ),
+            );
+        }
+        if self.config.action == ViolationAction::Repair {
+            self.repair_call(libc, world, idx, args, failure).map(Some)
+        } else {
+            Err(failure)
         }
     }
 
@@ -1279,26 +1193,33 @@ impl RobustnessWrapper {
         }
         self.stats.wrapped_calls += 1;
         let started = healers_trace::enabled().then(Instant::now);
-        let verdict = match self.mode {
-            PlanMode::Compiled => self.run_compiled(world, idx, args),
-            PlanMode::Interpreted => self.run_interpreted(world, idx, args),
-        };
-        let admitted = match verdict {
-            Ok(()) => true,
-            Err(_) => {
-                self.stats.violations += 1;
-                self.m_violations.inc();
-                false
-            }
-        };
+        let admitted = self.run_checks(world, idx, args).is_ok();
+        if !admitted {
+            self.stats.violations += 1;
+            self.m_violations.inc();
+        }
         if let Some(s) = started {
             metrics::global().record_timing("wrapper_precheck_ns", s.elapsed().as_nanos() as u64);
         }
         admitted
     }
 
-    /// Execute entry `idx`'s compiled program. `Err` carries the first
+    /// Execute entry `idx`'s checks under the configured plan mode —
+    /// the one place the mode is consulted. `Err` carries the first
     /// violation as a [`CheckFailure`].
+    fn run_checks(
+        &mut self,
+        world: &World,
+        idx: usize,
+        args: &[SimValue],
+    ) -> Result<(), CheckFailure> {
+        match self.mode {
+            PlanMode::Compiled => self.run_compiled(world, idx, args),
+            PlanMode::Interpreted => self.run_interpreted(world, idx, args),
+        }
+    }
+
+    /// Execute entry `idx`'s compiled program.
     fn run_compiled(
         &mut self,
         world: &World,
@@ -1315,56 +1236,39 @@ impl RobustnessWrapper {
             // Validity caching ([3]): a pointer validated under the
             // current table generation needs no re-probing. Compiled
             // claim ops carry the config switch; assertions never cache.
-            let cacheable = op.cacheable && matches!(value, SimValue::Ptr(p) if p != 0);
-            if cacheable {
-                let key = (value.as_ptr(), op.ty.expect("cacheable ops carry a claim"));
+            let key = (op.cacheable && matches!(value, SimValue::Ptr(p) if p != 0))
+                .then(|| (value.as_ptr(), op.ty.expect("cacheable ops carry a claim")));
+            if let Some(key) = key {
                 if self.check_cache.get(&key) == Some(&self.generation) {
                     self.stats.check_cache_hits += 1;
                     // A cache hit is a check that (still) passes.
                     self.stats.check_outcomes.record(op.kind, true);
                     continue;
                 }
-                let ok = eval_op(
-                    world,
-                    &self.tables,
-                    &self.caps,
-                    args,
-                    op,
-                    &mut self.stats.check_kinds,
-                );
-                self.stats.check_outcomes.record(op.kind, ok);
-                if !ok {
-                    return Err(CheckFailure {
-                        op: opno,
-                        arg: op.arg as usize,
-                        kind: op.kind,
-                        check: op.describe(),
-                        value,
-                    });
-                }
-                if self.check_cache.len() >= 4096 {
+            }
+            let ok = eval_op(
+                world,
+                &self.tables,
+                &self.caps,
+                args,
+                op,
+                &mut self.stats.check_kinds,
+            );
+            self.stats.check_outcomes.record(op.kind, ok);
+            if !ok {
+                return Err(CheckFailure {
+                    op: opno,
+                    arg: op.arg as usize,
+                    kind: op.kind,
+                    check: op.describe(),
+                    value,
+                });
+            }
+            if let Some(key) = key {
+                if self.check_cache.len() >= CHECK_CACHE_CAP {
                     self.check_cache.clear();
                 }
                 self.check_cache.insert(key, self.generation);
-            } else {
-                let ok = eval_op(
-                    world,
-                    &self.tables,
-                    &self.caps,
-                    args,
-                    op,
-                    &mut self.stats.check_kinds,
-                );
-                self.stats.check_outcomes.record(op.kind, ok);
-                if !ok {
-                    return Err(CheckFailure {
-                        op: opno,
-                        arg: op.arg as usize,
-                        kind: op.kind,
-                        check: op.describe(),
-                        value,
-                    });
-                }
             }
         }
         Ok(())
@@ -1422,7 +1326,7 @@ impl RobustnessWrapper {
                     });
                 }
                 if cacheable {
-                    if self.check_cache.len() >= 4096 {
+                    if self.check_cache.len() >= CHECK_CACHE_CAP {
                         self.check_cache.clear();
                     }
                     self.check_cache.insert(cache_key, self.generation);
@@ -1542,7 +1446,7 @@ impl RobustnessWrapper {
         idx: usize,
         args: &[SimValue],
         first: CheckFailure,
-    ) -> Result<(Vec<SimValue>, Vec<Repair>), CheckFailure> {
+    ) -> Result<Repaired, CheckFailure> {
         let name = self.entries[idx].name.clone();
         let mut repaired = args.to_vec();
         let mut fixes = Vec::new();
@@ -1563,11 +1467,7 @@ impl RobustnessWrapper {
                 ),
             );
             fixes.push(fix);
-            let verdict = match self.mode {
-                PlanMode::Compiled => self.run_compiled(world, idx, &repaired),
-                PlanMode::Interpreted => self.run_interpreted(world, idx, &repaired),
-            };
-            match verdict {
+            match self.run_checks(world, idx, &repaired) {
                 Ok(()) => return Ok((repaired, fixes)),
                 Err(f) => failure = f,
             }
@@ -2353,7 +2253,8 @@ mod tests {
         };
         world.proc.write_cstr(p, b"hello").unwrap();
 
-        let pending = w.begin_call(&libc, &mut world, "strlen", &[SimValue::Ptr(p)]);
+        let args = [SimValue::Ptr(p)];
+        let pending = w.begin_call(&libc, &mut world, "strlen", &args);
         assert!(pending.admitted(), "live NTS must pass the checks");
         // "Another thread" frees the checked buffer inside the window.
         w.call(&libc, &mut world, "free", &[SimValue::Ptr(p)])
@@ -2381,14 +2282,15 @@ mod tests {
         world.proc.write_cstr(p, b"hello").unwrap();
 
         // Unpreempted windows never re-check: zero added cost.
-        let pending = w.begin_call(&libc, &mut world, "strlen", &[SimValue::Ptr(p)]);
+        let args = [SimValue::Ptr(p)];
+        let pending = w.begin_call(&libc, &mut world, "strlen", &args);
         let (len, verdict) = w.finish_call(&libc, &mut world, pending, false).unwrap();
         assert_eq!((len, verdict), (SimValue::Int(5), Verdict::Pass));
         assert_eq!(w.stats.window_rechecks, 0);
 
         // Preempted + mutated: the re-check catches the freed buffer
         // and the call is refused instead of faulting.
-        let pending = w.begin_call(&libc, &mut world, "strlen", &[SimValue::Ptr(p)]);
+        let pending = w.begin_call(&libc, &mut world, "strlen", &args);
         assert!(pending.admitted());
         w.call(&libc, &mut world, "free", &[SimValue::Ptr(p)])
             .unwrap();
@@ -2404,8 +2306,8 @@ mod tests {
 
     #[test]
     fn begin_finish_matches_plain_call_without_preemption() {
-        // `call` is literally begin+finish(false); a split drive of the
-        // same sequence must agree on results and every counter.
+        // `call` is `finish_call(begin_call(..), false)`; driving the
+        // two halves by hand must agree on results and every counter.
         let functions = ["strlen", "malloc", "free"];
         let (libc, mut a, mut world_a) = build(&functions, WrapperConfig::full_auto());
         let (_, mut b, mut world_b) = build(&functions, WrapperConfig::full_auto());
@@ -2414,7 +2316,8 @@ mod tests {
         let ra = a
             .call(&libc, &mut world_a, "strlen", &[SimValue::Ptr(s_a)])
             .unwrap();
-        let pending = b.begin_call(&libc, &mut world_b, "strlen", &[SimValue::Ptr(s_b)]);
+        let args_b = [SimValue::Ptr(s_b)];
+        let pending = b.begin_call(&libc, &mut world_b, "strlen", &args_b);
         let (rb, _) = b.finish_call(&libc, &mut world_b, pending, false).unwrap();
         assert_eq!(ra, rb);
         assert_eq!(a.stats.calls, b.stats.calls);

@@ -10,13 +10,17 @@
 //! supertypes of [`healers_core::WrapperBuilder`], a canonical
 //! simulated [`World`] to probe against, and empty tracking tables.
 //!
-//! Everything here is `&self`: validation walks the wrapper's
-//! build-time [`healers_core::CompiledPlan`] claim ops through
-//! [`healers_core::eval_op`], which probes the world read-only, so one
-//! `Arc<ServePlans>` serves every worker thread without locks, clones,
-//! or per-request allocation beyond the reply buffer. The name →
-//! function dispatch can be hoisted out of a request loop with
-//! [`ServePlans::resolve`] + [`ServePlans::validate_resolved`].
+//! Everything here is `&self`: validation goes through the wrapper's
+//! read-only claim check
+//! ([`healers_core::RobustnessWrapper::check_claims`]), which walks
+//! the build-time [`healers_core::CompiledPlan`] claim ops and probes
+//! the world without mutating anything, so one `Arc<ServePlans>`
+//! serves every worker thread without locks, clones, or per-request
+//! allocation beyond the reply buffer. The wrapper's tracking tables
+//! stay empty: the service tracks no client heap, streams or
+//! directories. The name → function dispatch can be hoisted out of a
+//! request loop with [`ServePlans::resolve`] +
+//! [`ServePlans::validate_resolved`].
 //!
 //! # The canonical world
 //!
@@ -37,8 +41,8 @@ use std::path::PathBuf;
 use healers_ballista::ballista_targets;
 use healers_campaign::cache::CacheError;
 use healers_campaign::{fingerprint::fingerprint, Campaign, CampaignConfig, CampaignMetrics};
-use healers_core::checker::{CheckCapabilities, CheckCounters, Tables};
-use healers_core::{eval_op, FnId, WrapperBuilder, WrapperConfig};
+use healers_core::checker::CheckCounters;
+use healers_core::{FnId, WrapperBuilder, WrapperConfig};
 use healers_inject::FaultInjector;
 use healers_libc::{Libc, World};
 use healers_simproc::{Addr, SimValue};
@@ -139,8 +143,6 @@ pub fn scratch_addrs() -> (Addr, Addr) {
 pub struct ServePlans {
     wrapper: healers_core::RobustnessWrapper,
     world: World,
-    tables: Tables,
-    caps: CheckCapabilities,
     scratch_str: Addr,
     scratch_buf: Addr,
     functions: Vec<String>,
@@ -214,12 +216,6 @@ impl ServePlans {
             ServePlans {
                 wrapper,
                 world,
-                tables: Tables::default(),
-                caps: CheckCapabilities {
-                    stateful_heap: false, // the service tracks no client heap
-                    dir_tracking: false,
-                    file_tracking: false,
-                },
                 scratch_str,
                 scratch_buf,
                 functions,
@@ -270,34 +266,32 @@ impl ServePlans {
     }
 
     /// [`ServePlans::validate`] with the name lookup already hoisted:
-    /// walks the claim prefix of the function's [`CompiledPlan`]
-    /// straight off the flat op array.
+    /// checks the claim prefix of the function's [`CompiledPlan`]
+    /// through [`RobustnessWrapper::check_claims`].
     ///
     /// [`CompiledPlan`]: healers_core::CompiledPlan
+    /// [`RobustnessWrapper::check_claims`]: healers_core::RobustnessWrapper::check_claims
     pub fn validate_resolved(
         &self,
         id: FnId,
         args: &[SimValue],
         ctrs: &mut CheckCounters,
     ) -> ValidateVerdict {
-        let Some(ops) = self.wrapper.claim_ops(id) else {
-            return ValidateVerdict::AdmitUnchecked;
-        };
-        for op in ops {
-            if !eval_op(&self.world, &self.tables, &self.caps, args, op, ctrs) {
-                let arg = op.arg as u16;
-                let check = op.ty.expect("claim ops carry a claim").notation();
+        match self.wrapper.check_claims(&self.world, id, args, ctrs) {
+            None => ValidateVerdict::AdmitUnchecked,
+            Some(Ok(())) => ValidateVerdict::Admit,
+            Some(Err((arg, check))) => {
+                let arg = arg as u16;
                 // Every claim op has a repair strategy in the wrapper
                 // (`repair_one` is total over `OpAction`), so under
                 // the hint gate a failing claim is always repairable.
-                return if self.repair_hints {
+                if self.repair_hints {
                     ValidateVerdict::WouldRepair { arg, check }
                 } else {
                     ValidateVerdict::Reject { arg, check }
-                };
+                }
             }
         }
-        ValidateVerdict::Admit
     }
 
     /// The lattice-walk summary for `function`: its prototype plus, per

@@ -1,6 +1,7 @@
 //! CLI contract tests for `healers serve` and `healers bench serve`:
 //! `serve exec` replays a script deterministically (byte-identical raw
-//! reply streams across `--workers`), warm cache startups report zero
+//! reply streams across `--workers`, rendered replies identical to the
+//! committed `smoke.expected` transcript), warm cache startups report zero
 //! injected calls, and misuse exits with status 2.
 
 use std::path::PathBuf;
@@ -62,6 +63,17 @@ fn serve_exec_reply_bytes_are_identical_across_worker_counts() {
         outputs.push(out.stdout);
     }
     assert_eq!(outputs[0], outputs[1], "rendered replies diverge");
+    // Pinned across commits, not only across worker counts: a change
+    // under serve that alters any rendered reply fails here.
+    let expected = std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/serve_scripts/smoke.expected"),
+    )
+    .unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&outputs[0]),
+        String::from_utf8_lossy(&expected),
+        "rendered replies drifted from tests/serve_scripts/smoke.expected"
+    );
 
     let bytes1 = std::fs::read(&raw1).unwrap();
     let bytes4 = std::fs::read(&raw4).unwrap();
