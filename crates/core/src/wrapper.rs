@@ -826,25 +826,22 @@ impl RobustnessWrapper {
     /// touching nothing but `ctrs` — no stats, no validity cache. The
     /// serve daemon's validator. `None` means the function has no claim
     /// plan (declared safe or disabled); `Some(Err((arg, check)))`
-    /// names the first failing claim's argument index and type
-    /// notation.
+    /// names the first failing claim's argument index and type. Nothing
+    /// here allocates: the caller names the type when it needs to.
     pub fn check_claims(
         &self,
         world: &World,
         id: FnId,
         args: &[SimValue],
         ctrs: &mut CheckCounters,
-    ) -> Option<Result<(), (usize, String)>> {
+    ) -> Option<Result<(), (usize, TypeExpr)>> {
         let ops = self.claim_ops(id)?;
         let failed = ops
             .iter()
             .find(|op| !eval_op(world, &self.tables, &self.caps, args, op, ctrs));
         Some(match failed {
             None => Ok(()),
-            Some(op) => Err((
-                op.arg as usize,
-                op.ty.expect("claim ops carry a claim").notation(),
-            )),
+            Some(op) => Err((op.arg as usize, op.ty.expect("claim ops carry a claim"))),
         })
     }
 

@@ -22,6 +22,26 @@
 //!   one connection) instead of growing a daemon-side buffer. Daemon
 //!   memory per connection is O(max frame length).
 //!
+//! # Per-request cost, and counters published once per frame
+//!
+//! A session parses each request in place (a `Validate`'s function name
+//! borrows the message bytes, its arguments fill a vector the session
+//! reuses), looks the function up once in the plan set's hashed index,
+//! and writes every reply of a frame into one reply buffer the session
+//! reuses, patching length prefixes and the header afterwards. A warm
+//! session therefore allocates nothing per `Validate` beyond what the
+//! transport allocates for every request; `tests/validate_allocs.rs`
+//! pins it.
+//!
+//! The shared counters — [`ServeCounters`], the worker's cells, and the
+//! [`StatsHub`]'s per-function outcomes — are written once per frame,
+//! not once per request: validates count into session-local tallies,
+//! published before the reply frame is written and before any other
+//! kind of request in the same frame is served. A `Stats` therefore
+//! still sees every request served before it, its own frame's
+//! included, so the deterministic subset is unchanged; a concurrent
+//! scrape may trail a frame that is still being served.
+//!
 //! # Why this worker model is TOCTOU-free by construction
 //!
 //! The simulated-thread work in `healers-simproc` exists precisely
@@ -45,17 +65,18 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use healers_core::checker::CheckCounters;
+use healers_simproc::SimValue;
 use healers_trace::Histogram;
+use healers_typesys::TypeExpr;
 
 use healers_trace::recorder::flight;
 
 use crate::frame::{
-    encode_frame, read_frame, write_frame, FrameError, Limits, DIR_REQUEST, DIR_RESPONSE,
+    encode_frame, read_frame, write_frame, FrameError, FrameWriter, Limits, DIR_REQUEST,
+    DIR_RESPONSE,
 };
 use crate::plans::ServePlans;
-use crate::proto::{
-    FnOutcome, Request, Response, StatsReply, TimingStat, ValidateVerdict, WorkerStat,
-};
+use crate::proto::{FnOutcome, RequestRef, Response, StatsReply, TimingStat, Verdict, WorkerStat};
 
 /// A serveable connection: blocking byte stream, movable to a worker.
 pub trait Conn: Read + Write + Send {}
@@ -169,10 +190,10 @@ impl Default for DaemonConfig {
 }
 
 /// Daemon-global counters. Exposed over the wire only through
-/// [`Request::Stats`], whose reply is explicitly daemon-scoped — every
-/// *other* reply stays a pure function of one connection's requests
-/// (see the crate-level determinism contract). The deterministic
-/// subset ([`ServeCounters::deterministic_totals`]) counts logical
+/// [`Request::Stats`](crate::proto::Request::Stats), whose reply is
+/// explicitly daemon-scoped — every *other* reply stays a pure
+/// function of one connection's requests (see the crate-level
+/// determinism contract). The deterministic subset ([`ServeCounters::deterministic_totals`]) counts logical
 /// events, so it is still byte-identical for any `--workers`.
 #[derive(Debug, Default)]
 pub struct ServeCounters {
@@ -242,16 +263,16 @@ struct WorkerCells {
     requests: AtomicU64,
 }
 
-/// The daemon-wide live statistics hub backing [`Request::Stats`]:
-/// per-function validate outcomes (deterministic, plan order),
-/// per-worker frame/request counters, and the connection-queue
-/// high-water mark (both live scheduling state, outside the
-/// determinism contract).
+/// The daemon-wide live statistics hub backing
+/// [`Request::Stats`](crate::proto::Request::Stats): per-function
+/// validate outcomes (deterministic, plan order), per-worker
+/// frame/request counters, and the connection-queue high-water mark
+/// (both live scheduling state, outside the determinism contract).
 #[derive(Debug)]
 pub struct StatsHub {
     fn_names: Vec<String>,
-    fn_index: std::collections::BTreeMap<String, usize>,
-    /// `[admitted, rejected, unchecked]` per function, plan order.
+    /// `[admitted, rejected, unchecked]` per function, by slot: the
+    /// function's position in the plan order.
     fn_outcomes: Vec<[AtomicU64; 3]>,
     workers: Vec<WorkerCells>,
     queued: AtomicU64,
@@ -264,11 +285,6 @@ impl StatsHub {
     pub fn new(functions: &[String], workers: usize) -> StatsHub {
         StatsHub {
             fn_names: functions.to_vec(),
-            fn_index: functions
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.clone(), i))
-                .collect(),
             fn_outcomes: functions.iter().map(|_| Default::default()).collect(),
             workers: (0..workers.max(1))
                 .map(|_| WorkerCells::default())
@@ -276,22 +292,6 @@ impl StatsHub {
             queued: AtomicU64::new(0),
             queue_highwater: AtomicU64::new(0),
         }
-    }
-
-    fn record_outcome(&self, function: &str, verdict: &ValidateVerdict) {
-        let Some(&i) = self.fn_index.get(function) else {
-            return;
-        };
-        let cell = match verdict {
-            ValidateVerdict::Admit => 0,
-            // A repair hint is still a failed validation; it lands in
-            // the reject column so the deterministic stats are
-            // identical whether or not the hint gate is on.
-            ValidateVerdict::Reject { .. } | ValidateVerdict::WouldRepair { .. } => 1,
-            ValidateVerdict::AdmitUnchecked => 2,
-            ValidateVerdict::UnknownFunction => return,
-        };
-        self.fn_outcomes[i][cell].fetch_add(1, Ordering::Relaxed);
     }
 
     fn enqueue(&self) {
@@ -407,7 +407,7 @@ impl ServeTelemetry {
 
 /// Per-session (per-connection) counters: the payload of a `Report`
 /// response. Purely session-local, so replies stay deterministic.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct SessionStats {
     /// Request frames served.
     pub frames: u64,
@@ -478,82 +478,168 @@ pub struct SessionOutcome {
     pub stats: SessionStats,
 }
 
-fn handle_request(
-    req: Request,
-    plans: &ServePlans,
-    stats: &mut SessionStats,
-    counters: &ServeCounters,
-    hub: &StatsHub,
-    telemetry: &ServeTelemetry,
-) -> (Response, bool) {
-    stats.requests += 1;
-    counters.requests.fetch_add(1, Ordering::Relaxed);
-    match req {
-        Request::Ping => {
-            stats.pings += 1;
-            (Response::Pong, false)
-        }
-        Request::Validate { function, args } => {
-            stats.validates += 1;
-            counters.validates.fetch_add(1, Ordering::Relaxed);
-            let mut ctrs = CheckCounters::default();
-            let verdict = plans.validate(&function, &args, &mut ctrs);
-            stats.checks += ctrs.table_hits + ctrs.run_probes + ctrs.nul_scans;
-            stats.run_probes += ctrs.run_probes;
-            stats.nul_scans += ctrs.nul_scans;
-            stats.bytes_scanned += ctrs.bytes_scanned;
-            hub.record_outcome(&function, &verdict);
-            match &verdict {
-                ValidateVerdict::Admit => {
-                    stats.admitted += 1;
-                    counters.admits.fetch_add(1, Ordering::Relaxed);
-                }
-                ValidateVerdict::AdmitUnchecked => {
-                    stats.admitted_unchecked += 1;
-                    counters.admits.fetch_add(1, Ordering::Relaxed);
-                }
-                ValidateVerdict::Reject { .. } | ValidateVerdict::WouldRepair { .. } => {
-                    stats.rejected += 1;
-                    counters.rejects.fetch_add(1, Ordering::Relaxed);
-                }
-                ValidateVerdict::UnknownFunction => stats.unknown_functions += 1,
-            }
-            (Response::Validated(verdict), false)
-        }
-        Request::Explain { function } => {
-            stats.explains += 1;
-            (
-                Response::Explained {
-                    info: plans.explain(&function),
-                },
-                false,
-            )
-        }
-        Request::Report => {
-            stats.reports += 1;
-            (
-                Response::Reported {
-                    counters: stats.as_counters(),
-                },
-                false,
-            )
-        }
-        Request::Shutdown => (Response::Bye, true),
-        Request::Stats { timings } => (
-            Response::Stats(hub.stats_reply(counters, telemetry, timings)),
-            false,
-        ),
+/// The outcome-table column a verdict lands in; `None` for a function
+/// the daemon does not serve.
+fn outcome_column<C>(verdict: &Verdict<C>) -> Option<usize> {
+    match verdict {
+        Verdict::Admit => Some(0),
+        // A repair hint is still a failed validation; it lands in the
+        // reject column so the deterministic stats are identical
+        // whether or not the hint gate is on.
+        Verdict::Reject { .. } | Verdict::WouldRepair { .. } => Some(1),
+        Verdict::AdmitUnchecked => Some(2),
+        Verdict::UnknownFunction => None,
     }
 }
 
-fn request_kind(req: &Request) -> &'static str {
+fn add(cell: &AtomicU64, n: u64) {
+    if n > 0 {
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// One connection being served: its own counters, the part of them the
+/// daemon's shared counters have not seen yet, and the daemon state it
+/// reads and publishes to.
+struct Session<'a> {
+    plans: &'a ServePlans,
+    counters: &'a ServeCounters,
+    telemetry: &'a ServeTelemetry,
+    hub: &'a StatsHub,
+    cells: &'a WorkerCells,
+    stats: SessionStats,
+    /// `stats` as of the last publication.
+    published: SessionStats,
+    /// Per-slot validate outcomes not yet published …
+    outcomes: Vec<[u64; 3]>,
+    /// … and the slots they touch.
+    touched: Vec<usize>,
+}
+
+impl<'a> Session<'a> {
+    /// Add everything counted since the last publication to the daemon
+    /// counters, the worker's cells and the per-function outcomes.
+    fn publish(&mut self) {
+        let (now, then) = (&self.stats, &self.published);
+        let frames = now.frames - then.frames;
+        let requests = now.requests - then.requests;
+        add(&self.counters.frames, frames);
+        add(&self.counters.requests, requests);
+        add(&self.counters.validates, now.validates - then.validates);
+        add(
+            &self.counters.admits,
+            now.admitted + now.admitted_unchecked - then.admitted - then.admitted_unchecked,
+        );
+        add(&self.counters.rejects, now.rejected - then.rejected);
+        add(&self.counters.protocol_errors, now.errors - then.errors);
+        add(&self.cells.frames, frames);
+        add(&self.cells.requests, requests);
+        for &slot in &self.touched {
+            let pending = std::mem::take(&mut self.outcomes[slot]);
+            for (cell, n) in self.hub.fn_outcomes[slot].iter().zip(pending) {
+                add(cell, n);
+            }
+        }
+        self.touched.clear();
+        self.published = self.stats;
+    }
+
+    /// Serve one request, appending its response to `out`. Returns
+    /// whether the session should stop after this frame.
+    fn handle_request(&mut self, req: RequestRef<'_>, out: &mut Vec<u8>) -> bool {
+        self.stats.requests += 1;
+        // Every kind but a validate may read the shared counters, so
+        // they first take in every earlier request, this one included.
+        if !matches!(req, RequestRef::Validate { .. }) {
+            self.publish();
+        }
+        let response = match req {
+            RequestRef::Validate { function, args } => {
+                self.validate(function, args).encode(out);
+                return false;
+            }
+            RequestRef::Ping => {
+                self.stats.pings += 1;
+                Response::Pong
+            }
+            RequestRef::Explain { function } => {
+                self.stats.explains += 1;
+                Response::Explained {
+                    info: self.plans.explain(function),
+                }
+            }
+            RequestRef::Report => {
+                self.stats.reports += 1;
+                Response::Reported {
+                    counters: self.stats.as_counters(),
+                }
+            }
+            RequestRef::Shutdown => {
+                Response::Bye.encode(out);
+                return true;
+            }
+            RequestRef::Stats { timings } => {
+                Response::Stats(self.hub.stats_reply(self.counters, self.telemetry, timings))
+            }
+        };
+        response.encode(out);
+        false
+    }
+
+    fn validate(&mut self, function: &str, args: &[SimValue]) -> Verdict<TypeExpr> {
+        let mut ctrs = CheckCounters::default();
+        let verdict = match self.plans.lookup(function) {
+            Some((id, slot)) => {
+                let verdict = self.plans.check(id, args, &mut ctrs);
+                if let Some(column) = outcome_column(&verdict) {
+                    let cells = &mut self.outcomes[slot];
+                    if *cells == [0; 3] {
+                        self.touched.push(slot);
+                    }
+                    cells[column] += 1;
+                }
+                verdict
+            }
+            None => Verdict::UnknownFunction,
+        };
+        let s = &mut self.stats;
+        s.validates += 1;
+        s.checks += ctrs.table_hits + ctrs.run_probes + ctrs.nul_scans;
+        s.run_probes += ctrs.run_probes;
+        s.nul_scans += ctrs.nul_scans;
+        s.bytes_scanned += ctrs.bytes_scanned;
+        match verdict {
+            Verdict::Admit => s.admitted += 1,
+            Verdict::AdmitUnchecked => s.admitted_unchecked += 1,
+            Verdict::Reject { .. } | Verdict::WouldRepair { .. } => s.rejected += 1,
+            Verdict::UnknownFunction => s.unknown_functions += 1,
+        }
+        verdict
+    }
+
+    /// Count a malformed frame, publish, and answer it with one error
+    /// frame.
+    fn frame_error(&mut self, conn: &mut dyn Conn, message: String) {
+        self.stats.errors += 1;
+        self.publish();
+        flight().record("frame-error", "", &message);
+        let mut msg = Vec::new();
+        Response::Error {
+            message: format!("protocol error: {message}"),
+        }
+        .encode(&mut msg);
+        let _ = write_frame(conn, DIR_RESPONSE, &[msg]);
+    }
+}
+
+fn request_kind(req: &RequestRef<'_>) -> &'static str {
     match req {
-        Request::Ping => "ping",
-        Request::Validate { .. } => "validate",
-        Request::Explain { .. } => "explain",
-        Request::Report => "report",
-        Request::Shutdown => "shutdown",
-        Request::Stats { .. } => "stats",
+        RequestRef::Ping => "ping",
+        RequestRef::Validate { .. } => "validate",
+        RequestRef::Explain { .. } => "explain",
+        RequestRef::Report => "report",
+        RequestRef::Shutdown => "shutdown",
+        RequestRef::Stats { .. } => "stats",
     }
 }
 
@@ -561,6 +647,11 @@ fn request_kind(req: &Request) -> &'static str {
 /// response message per request message, replies flushed before the
 /// next frame is read. `worker` indexes the hub's per-worker counters
 /// (pass 0 outside a worker pool).
+///
+/// A validate counts into session-local tallies; they reach the
+/// daemon-wide counters once per frame, before the reply frame is
+/// written and before any other kind of request is served, so a
+/// `Stats` still sees every request that came before it.
 pub fn serve_session(
     conn: &mut dyn Conn,
     plans: &ServePlans,
@@ -570,10 +661,21 @@ pub fn serve_session(
     hub: &StatsHub,
     worker: usize,
 ) -> SessionOutcome {
-    let mut stats = SessionStats::default();
+    let mut session = Session {
+        plans,
+        counters,
+        telemetry,
+        hub,
+        cells: &hub.workers[worker.min(hub.workers.len() - 1)],
+        stats: SessionStats::default(),
+        published: SessionStats::default(),
+        outcomes: vec![[0; 3]; hub.fn_outcomes.len()],
+        touched: Vec::with_capacity(hub.fn_outcomes.len()),
+    };
+    let mut args = Vec::new();
+    let mut reply = FrameWriter::default();
     let mut shutdown = false;
-    let cells = &hub.workers[worker.min(hub.workers.len() - 1)];
-    'frames: loop {
+    loop {
         let frame = match read_frame(conn, limits) {
             Ok(f) => f,
             Err(FrameError::Eof) => break,
@@ -581,71 +683,56 @@ pub fn serve_session(
                 // Malformed framing: answer with one error frame and
                 // close — resynchronizing an unframed byte stream is
                 // guesswork this protocol refuses to do.
-                stats.errors += 1;
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                flight().record("frame-error", "", &format!("{e}"));
-                let mut msg = Vec::new();
-                Response::Error {
-                    message: format!("protocol error: {e}"),
-                }
-                .encode(&mut msg);
-                let _ = write_frame(conn, DIR_RESPONSE, &[msg]);
+                session.frame_error(conn, e.to_string());
                 break;
             }
         };
         if frame.direction != DIR_REQUEST {
-            stats.errors += 1;
-            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            flight().record("frame-error", "", "expected a request frame");
-            let mut msg = Vec::new();
-            Response::Error {
-                message: "protocol error: expected a request frame".to_string(),
-            }
-            .encode(&mut msg);
-            let _ = write_frame(conn, DIR_RESPONSE, &[msg]);
+            session.frame_error(conn, "expected a request frame".to_string());
             break;
         }
 
-        stats.frames += 1;
-        counters.frames.fetch_add(1, Ordering::Relaxed);
-        cells.frames.fetch_add(1, Ordering::Relaxed);
+        session.stats.frames += 1;
         let traced = healers_trace::enabled();
-        let mut replies: Vec<Vec<u8>> = Vec::with_capacity(frame.messages.len());
+        reply.begin(DIR_RESPONSE);
         for raw in &frame.messages {
-            let response = match Request::decode(raw) {
+            match RequestRef::parse(raw, &mut args) {
                 Ok(req) => {
                     let started = traced.then(std::time::Instant::now);
                     let kind = request_kind(&req);
-                    let (response, stop) =
-                        handle_request(req, plans, &mut stats, counters, hub, telemetry);
-                    cells.requests.fetch_add(1, Ordering::Relaxed);
+                    reply.message(|out| shutdown |= session.handle_request(req, out));
                     if let Some(s) = started {
                         telemetry.record(kind, s.elapsed().as_nanos() as u64);
                     }
-                    shutdown |= stop;
-                    response
                 }
                 Err(e) => {
-                    stats.errors += 1;
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    session.stats.errors += 1;
                     flight().record("frame-error", "", &format!("bad request: {e}"));
-                    Response::Error {
-                        message: format!("bad request: {e}"),
-                    }
+                    reply.message(|out| {
+                        Response::Error {
+                            message: format!("bad request: {e}"),
+                        }
+                        .encode(out);
+                    });
                 }
-            };
-            let mut buf = Vec::new();
-            response.encode(&mut buf);
-            replies.push(buf);
+            }
         }
-        if write_frame(conn, DIR_RESPONSE, &replies).is_err() {
-            break 'frames; // peer gone mid-reply
+        session.publish();
+        if conn
+            .write_all(reply.finish())
+            .and_then(|()| conn.flush())
+            .is_err()
+        {
+            break; // peer gone mid-reply
         }
         if shutdown {
             break;
         }
     }
-    SessionOutcome { shutdown, stats }
+    SessionOutcome {
+        shutdown,
+        stats: session.stats,
+    }
 }
 
 /// A running daemon: accept thread plus session workers.

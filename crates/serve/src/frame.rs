@@ -123,20 +123,60 @@ pub struct Frame {
     pub messages: Vec<Vec<u8>>,
 }
 
+/// Builds one frame in place: a header whose count and payload length
+/// are patched by [`FrameWriter::finish`], then each message behind a
+/// length prefix patched once the message is written. The buffer is
+/// reused from frame to frame, so a writer that has seen its largest
+/// frame allocates nothing more.
+#[derive(Debug, Default)]
+pub(crate) struct FrameWriter {
+    buf: Vec<u8>,
+    count: usize,
+}
+
+impl FrameWriter {
+    /// Start a new frame, dropping the previous one's bytes.
+    pub(crate) fn begin(&mut self, direction: u8) {
+        self.buf.clear();
+        self.count = 0;
+        self.buf.extend_from_slice(&MAGIC);
+        self.buf.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        self.buf.push(direction);
+        self.buf.extend_from_slice(&[0; 6]); // count and length, patched
+    }
+
+    /// Append one message, written by `encode` straight into the frame.
+    pub(crate) fn message(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        encode(&mut self.buf);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.count += 1;
+    }
+
+    /// Patch the header and return the finished frame's bytes.
+    pub(crate) fn finish(&mut self) -> &[u8] {
+        let payload_len = (self.buf.len() - HEADER_LEN) as u32;
+        self.buf[7..9].copy_from_slice(&(self.count as u16).to_le_bytes());
+        self.buf[9..13].copy_from_slice(&payload_len.to_le_bytes());
+        &self.buf
+    }
+}
+
 /// Encode a frame from already-encoded messages.
 pub fn encode_frame(direction: u8, messages: &[Vec<u8>]) -> Vec<u8> {
     let payload_len: usize = messages.iter().map(|m| 4 + m.len()).sum();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.push(direction);
-    out.extend_from_slice(&(messages.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    let mut w = FrameWriter {
+        buf: Vec::with_capacity(HEADER_LEN + payload_len),
+        count: 0,
+    };
+    w.begin(direction);
     for m in messages {
-        out.extend_from_slice(&(m.len() as u32).to_le_bytes());
-        out.extend_from_slice(m);
+        w.message(|out| out.extend_from_slice(m));
     }
-    out
+    w.finish();
+    w.buf
 }
 
 /// Write one frame to `w`.
@@ -258,6 +298,23 @@ mod tests {
             frame.messages,
             vec![b"abc".to_vec(), Vec::new(), b"xyzzy".to_vec()]
         );
+    }
+
+    #[test]
+    fn a_reused_writer_matches_encode_frame() {
+        let mut w = FrameWriter::default();
+        for msgs in [
+            &[&b"a longer first message"[..], b"", b"xyz"][..],
+            &[b"q"],
+            &[],
+        ] {
+            w.begin(DIR_RESPONSE);
+            for m in msgs {
+                w.message(|out| out.extend_from_slice(m));
+            }
+            let owned: Vec<Vec<u8>> = msgs.iter().map(|m| m.to_vec()).collect();
+            assert_eq!(w.finish(), encode_frame(DIR_RESPONSE, &owned));
+        }
     }
 
     #[test]

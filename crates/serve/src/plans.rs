@@ -15,11 +15,18 @@
 //! ([`healers_core::RobustnessWrapper::check_claims`]), which walks
 //! the build-time [`healers_core::CompiledPlan`] claim ops and probes
 //! the world without mutating anything, so one `Arc<ServePlans>`
-//! serves every worker thread without locks, clones, or per-request
-//! allocation beyond the reply buffer. The wrapper's tracking tables
-//! stay empty: the service tracks no client heap, streams or
-//! directories. The name → function dispatch can be hoisted out of a
-//! request loop with [`ServePlans::resolve`] +
+//! serves every worker thread without locks or clones. The wrapper's
+//! tracking tables stay empty: the service tracks no client heap,
+//! streams or directories.
+//!
+//! A validate costs one lookup: `build` hashes every served name once
+//! to its wrapper [`FnId`] and its slot, its position in
+//! [`ServePlans::functions`], which is where the daemon counts the
+//! function's outcomes. The claim check hands back the failing
+//! [`TypeExpr`] itself, and the daemon writes its notation straight
+//! into the reply frame, so a validate allocates nothing beyond the
+//! session's reused reply buffer. The name → function dispatch can be
+//! hoisted out of a request loop with [`ServePlans::resolve`] +
 //! [`ServePlans::validate_resolved`].
 //!
 //! # The canonical world
@@ -34,6 +41,7 @@
 //! symbolically (`ptr:str`, `ptr:buf+N`) and still produce
 //! byte-identical reply streams everywhere.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
@@ -46,8 +54,9 @@ use healers_core::{FnId, WrapperBuilder, WrapperConfig};
 use healers_inject::FaultInjector;
 use healers_libc::{Libc, World};
 use healers_simproc::{Addr, SimValue};
+use healers_typesys::TypeExpr;
 
-use crate::proto::{ExplainArg, ValidateVerdict};
+use crate::proto::{ExplainArg, ValidateVerdict, Verdict};
 
 /// The scratch string every daemon world carries.
 pub const SCRATCH_TEXT: &str = "healers-serve scratch";
@@ -58,7 +67,8 @@ pub const SCRATCH_BUF_LEN: u32 = 4096;
 /// Configuration for [`ServePlans::build`].
 #[derive(Debug, Clone)]
 pub struct PlanConfig {
-    /// Functions to serve plans for (empty = all 86 Ballista targets).
+    /// Functions to serve plans for (empty = all 86 Ballista targets);
+    /// a repeated name is served once, at its first position.
     pub functions: Vec<String>,
     /// Persistent declaration cache directory (`None` = derive fresh).
     pub cache_dir: Option<PathBuf>,
@@ -146,6 +156,9 @@ pub struct ServePlans {
     scratch_str: Addr,
     scratch_buf: Addr,
     functions: Vec<String>,
+    /// Served name → (wrapper handle, slot in `functions`), for every
+    /// served function that carries a declaration.
+    by_name: HashMap<String, (FnId, usize)>,
     repair_hints: bool,
 }
 
@@ -172,11 +185,17 @@ impl ServePlans {
         libc: &Libc,
         config: &PlanConfig,
     ) -> Result<(ServePlans, CampaignMetrics), BuildError> {
-        let functions: Vec<String> = if config.functions.is_empty() {
+        let requested: Vec<String> = if config.functions.is_empty() {
             ballista_targets().iter().map(|s| s.to_string()).collect()
         } else {
             config.functions.clone()
         };
+        let mut functions: Vec<String> = Vec::with_capacity(requested.len());
+        for name in requested {
+            if !functions.contains(&name) {
+                functions.push(name);
+            }
+        }
         for name in &functions {
             if libc.get(name).is_none() {
                 return Err(BuildError::NotExported(name.clone()));
@@ -212,6 +231,15 @@ impl ServePlans {
         let scratch_str = world.alloc_cstr(SCRATCH_TEXT);
         let scratch_buf = world.alloc_buf(SCRATCH_BUF_LEN);
 
+        let by_name = functions
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, name)| {
+                let id = wrapper.resolve(name).filter(|&id| wrapper.has_decl(id))?;
+                Some((name.clone(), (id, slot)))
+            })
+            .collect();
+
         Ok((
             ServePlans {
                 wrapper,
@@ -219,13 +247,14 @@ impl ServePlans {
                 scratch_str,
                 scratch_buf,
                 functions,
+                by_name,
                 repair_hints: config.repair_hints,
             },
             metrics,
         ))
     }
 
-    /// The functions this plan set serves, in request order.
+    /// The functions this plan set serves, in request order, each once.
     pub fn functions(&self) -> &[String] {
         &self.functions
     }
@@ -245,9 +274,13 @@ impl ServePlans {
     /// dispatch lookup out of a request loop. `None` means the daemon
     /// has no declaration for the name ([`ValidateVerdict::UnknownFunction`]).
     pub fn resolve(&self, function: &str) -> Option<FnId> {
-        self.wrapper
-            .resolve(function)
-            .filter(|&id| self.wrapper.has_decl(id))
+        self.lookup(function).map(|(id, _)| id)
+    }
+
+    /// [`ServePlans::resolve`] plus the function's slot: its position
+    /// in [`ServePlans::functions`].
+    pub(crate) fn lookup(&self, function: &str) -> Option<(FnId, usize)> {
+        self.by_name.get(function).copied()
     }
 
     /// Validate `args` against `function`'s compiled wrapper plan.
@@ -277,18 +310,29 @@ impl ServePlans {
         args: &[SimValue],
         ctrs: &mut CheckCounters,
     ) -> ValidateVerdict {
+        self.check(id, args, ctrs).into_owned()
+    }
+
+    /// [`ServePlans::validate_resolved`] with the failing check left as
+    /// its type, so the verdict costs no allocation.
+    pub(crate) fn check(
+        &self,
+        id: FnId,
+        args: &[SimValue],
+        ctrs: &mut CheckCounters,
+    ) -> Verdict<TypeExpr> {
         match self.wrapper.check_claims(&self.world, id, args, ctrs) {
-            None => ValidateVerdict::AdmitUnchecked,
-            Some(Ok(())) => ValidateVerdict::Admit,
+            None => Verdict::AdmitUnchecked,
+            Some(Ok(())) => Verdict::Admit,
             Some(Err((arg, check))) => {
                 let arg = arg as u16;
                 // Every claim op has a repair strategy in the wrapper
                 // (`repair_one` is total over `OpAction`), so under
                 // the hint gate a failing claim is always repairable.
                 if self.repair_hints {
-                    ValidateVerdict::WouldRepair { arg, check }
+                    Verdict::WouldRepair { arg, check }
                 } else {
-                    ValidateVerdict::Reject { arg, check }
+                    Verdict::Reject { arg, check }
                 }
             }
         }
@@ -446,6 +490,17 @@ mod tests {
                 assert_eq!(hc, pc);
             }
             (h, p) => panic!("expected WouldRepair/Reject, got {h:?} / {p:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_names_are_served_once_at_their_first_position() {
+        let plans = plans_for(&["strlen", "abs", "strlen", "abs", "strcpy"]);
+        assert_eq!(plans.functions(), ["strlen", "abs", "strcpy"]);
+        for (slot, name) in plans.functions().iter().enumerate() {
+            let (id, at) = plans.lookup(name).unwrap();
+            assert_eq!(at, slot, "{name}");
+            assert_eq!(plans.resolve(name), Some(id));
         }
     }
 

@@ -32,6 +32,7 @@
 use std::fmt;
 
 use healers_simproc::SimValue;
+use healers_typesys::TypeExpr;
 
 /// Decoding failure: the byte stream is not a valid message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -271,10 +272,15 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub(crate) fn string(&mut self) -> Result<String, WireError> {
+    /// A length-prefixed UTF-8 string, borrowed from the payload.
+    pub(crate) fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadString)
+        std::str::from_utf8(bytes).map_err(|_| WireError::BadString)
+    }
+
+    pub(crate) fn string(&mut self) -> Result<String, WireError> {
+        self.str().map(str::to_owned)
     }
 }
 
@@ -294,6 +300,20 @@ pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
     let len = bytes.len().min(u16::MAX as usize);
     put_u16(out, len as u16);
     out.extend_from_slice(&bytes[..len]);
+}
+
+/// [`put_string`] for a value written in place through `Display`,
+/// with no intermediate `String`: the length prefix is patched after
+/// the text is written, and the text is cut at the same bound.
+pub(crate) fn put_display(out: &mut Vec<u8>, s: impl fmt::Display) {
+    use std::io::Write as _;
+    let at = out.len();
+    put_u16(out, 0);
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{s}");
+    let len = (out.len() - at - 2).min(u16::MAX as usize);
+    out.truncate(at + 2 + len);
+    out[at..at + 2].copy_from_slice(&(len as u16).to_le_bytes());
 }
 
 // ---- SimValue codec -------------------------------------------------
@@ -373,42 +393,97 @@ impl Request {
         }
     }
 
-    /// Decode one request occupying exactly `buf`.
+    /// Decode one request occupying exactly `buf`: the daemon's
+    /// borrowing parser plus an owned copy of what it borrowed, so the
+    /// wire format has one decoder.
     ///
     /// # Errors
     ///
     /// Rejects truncation, unknown tags, bad strings, out-of-range
     /// pointers, and trailing bytes.
     pub fn decode(buf: &[u8]) -> Result<Request, WireError> {
+        let mut args = Vec::new();
+        RequestRef::parse(buf, &mut args).map(RequestRef::to_owned)
+    }
+}
+
+/// A request borrowed from its message bytes — the form the daemon
+/// serves. A `Validate`'s function name points into the message and its
+/// arguments into a caller-owned vector reused from request to
+/// request, so parsing allocates nothing once that vector is warm.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum RequestRef<'a> {
+    Ping,
+    Validate {
+        function: &'a str,
+        args: &'a [SimValue],
+    },
+    Explain {
+        function: &'a str,
+    },
+    Report,
+    Shutdown,
+    Stats {
+        timings: bool,
+    },
+}
+
+impl<'a> RequestRef<'a> {
+    /// Parse one request occupying exactly `buf`, decoding a
+    /// `Validate`'s arguments into `args` (cleared first).
+    ///
+    /// # Errors
+    ///
+    /// Rejects truncation, unknown tags, bad strings, out-of-range
+    /// pointers, and trailing bytes.
+    pub(crate) fn parse(
+        buf: &'a [u8],
+        args: &'a mut Vec<SimValue>,
+    ) -> Result<RequestRef<'a>, WireError> {
         let mut c = Cursor::new(buf);
-        let req = Self::decode_from(&mut c)?;
+        let req = match c.u8()? {
+            REQ_PING => RequestRef::Ping,
+            REQ_VALIDATE => {
+                let function = c.str()?;
+                let argc = c.u8()? as usize;
+                args.clear();
+                args.reserve(argc);
+                for _ in 0..argc {
+                    args.push(get_value(&mut c)?);
+                }
+                RequestRef::Validate {
+                    function,
+                    args: args.as_slice(),
+                }
+            }
+            REQ_EXPLAIN => RequestRef::Explain { function: c.str()? },
+            REQ_REPORT => RequestRef::Report,
+            REQ_SHUTDOWN => RequestRef::Shutdown,
+            REQ_STATS => RequestRef::Stats {
+                timings: c.u8()? & STATS_FLAG_TIMINGS != 0,
+            },
+            t => return Err(WireError::UnknownTag(t)),
+        };
         if c.remaining() != 0 {
             return Err(WireError::TrailingBytes(c.remaining()));
         }
         Ok(req)
     }
 
-    pub(crate) fn decode_from(c: &mut Cursor<'_>) -> Result<Request, WireError> {
-        match c.u8()? {
-            REQ_PING => Ok(Request::Ping),
-            REQ_VALIDATE => {
-                let function = c.string()?;
-                let argc = c.u8()? as usize;
-                let mut args = Vec::with_capacity(argc);
-                for _ in 0..argc {
-                    args.push(get_value(c)?);
-                }
-                Ok(Request::Validate { function, args })
-            }
-            REQ_EXPLAIN => Ok(Request::Explain {
-                function: c.string()?,
-            }),
-            REQ_REPORT => Ok(Request::Report),
-            REQ_SHUTDOWN => Ok(Request::Shutdown),
-            REQ_STATS => Ok(Request::Stats {
-                timings: c.u8()? & STATS_FLAG_TIMINGS != 0,
-            }),
-            t => Err(WireError::UnknownTag(t)),
+    /// The owned [`Request`] this borrows from.
+    pub(crate) fn to_owned(self) -> Request {
+        match self {
+            RequestRef::Ping => Request::Ping,
+            RequestRef::Validate { function, args } => Request::Validate {
+                function: function.to_owned(),
+                args: args.to_vec(),
+            },
+            RequestRef::Explain { function } => Request::Explain {
+                function: function.to_owned(),
+            },
+            RequestRef::Report => Request::Report,
+            RequestRef::Shutdown => Request::Shutdown,
+            RequestRef::Stats { timings } => Request::Stats { timings },
         }
     }
 }
@@ -429,29 +504,82 @@ const VERDICT_REJECT: u8 = 2;
 const VERDICT_UNKNOWN_FUNCTION: u8 = 3;
 const VERDICT_WOULD_REPAIR: u8 = 4;
 
+/// A `Validate` verdict over any check that displays as its notation:
+/// the borrowed form of [`ValidateVerdict`], and the daemon's, whose
+/// check is the failing type itself, named only as it is written into
+/// the reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict<C> {
+    Admit,
+    AdmitUnchecked,
+    Reject { arg: u16, check: C },
+    WouldRepair { arg: u16, check: C },
+    UnknownFunction,
+}
+
+impl Verdict<TypeExpr> {
+    /// The owned verdict, the check named by its notation.
+    pub(crate) fn into_owned(self) -> ValidateVerdict {
+        match self {
+            Verdict::Admit => ValidateVerdict::Admit,
+            Verdict::AdmitUnchecked => ValidateVerdict::AdmitUnchecked,
+            Verdict::Reject { arg, check } => ValidateVerdict::Reject {
+                arg,
+                check: check.notation(),
+            },
+            Verdict::WouldRepair { arg, check } => ValidateVerdict::WouldRepair {
+                arg,
+                check: check.notation(),
+            },
+            Verdict::UnknownFunction => ValidateVerdict::UnknownFunction,
+        }
+    }
+}
+
+impl<C: fmt::Display> Verdict<C> {
+    /// The verdict writer: append the `Validated` response carrying
+    /// this verdict, the check's notation written in place.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        out.push(RSP_VALIDATED);
+        match self {
+            Verdict::Admit => out.push(VERDICT_ADMIT),
+            Verdict::AdmitUnchecked => out.push(VERDICT_ADMIT_UNCHECKED),
+            Verdict::Reject { arg, check } => {
+                out.push(VERDICT_REJECT);
+                put_u16(out, *arg);
+                put_display(out, check);
+            }
+            Verdict::WouldRepair { arg, check } => {
+                out.push(VERDICT_WOULD_REPAIR);
+                put_u16(out, *arg);
+                put_display(out, check);
+            }
+            Verdict::UnknownFunction => out.push(VERDICT_UNKNOWN_FUNCTION),
+        }
+    }
+}
+
+impl ValidateVerdict {
+    /// This verdict borrowed, for the verdict writer.
+    fn borrowed(&self) -> Verdict<&str> {
+        match self {
+            ValidateVerdict::Admit => Verdict::Admit,
+            ValidateVerdict::AdmitUnchecked => Verdict::AdmitUnchecked,
+            ValidateVerdict::Reject { arg, check } => Verdict::Reject { arg: *arg, check },
+            ValidateVerdict::WouldRepair { arg, check } => {
+                Verdict::WouldRepair { arg: *arg, check }
+            }
+            ValidateVerdict::UnknownFunction => Verdict::UnknownFunction,
+        }
+    }
+}
+
 impl Response {
     /// Append the wire form of this response to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Response::Pong => out.push(RSP_PONG),
-            Response::Validated(v) => {
-                out.push(RSP_VALIDATED);
-                match v {
-                    ValidateVerdict::Admit => out.push(VERDICT_ADMIT),
-                    ValidateVerdict::AdmitUnchecked => out.push(VERDICT_ADMIT_UNCHECKED),
-                    ValidateVerdict::Reject { arg, check } => {
-                        out.push(VERDICT_REJECT);
-                        put_u16(out, *arg);
-                        put_string(out, check);
-                    }
-                    ValidateVerdict::WouldRepair { arg, check } => {
-                        out.push(VERDICT_WOULD_REPAIR);
-                        put_u16(out, *arg);
-                        put_string(out, check);
-                    }
-                    ValidateVerdict::UnknownFunction => out.push(VERDICT_UNKNOWN_FUNCTION),
-                }
-            }
+            Response::Validated(v) => v.borrowed().encode(out),
             Response::Explained { info } => {
                 out.push(RSP_EXPLAINED);
                 match info {
@@ -748,6 +876,60 @@ mod tests {
                 p99: 4095,
             }],
         }
+    }
+
+    #[test]
+    fn borrowed_parse_reuses_one_argument_vector() {
+        let mut args = Vec::new();
+        let mut first = Vec::new();
+        Request::Validate {
+            function: "memset".into(),
+            args: vec![SimValue::Ptr(0x1000), SimValue::Int(0), SimValue::Int(32)],
+        }
+        .encode(&mut first);
+        let mut second = Vec::new();
+        Request::Validate {
+            function: "strlen".into(),
+            args: vec![SimValue::NULL],
+        }
+        .encode(&mut second);
+
+        let req = RequestRef::parse(&first, &mut args).unwrap();
+        assert_eq!(req.to_owned(), Request::decode(&first).unwrap());
+        let RequestRef::Validate { function, .. } = req else {
+            panic!("expected a validate: {req:?}");
+        };
+        assert!(std::ptr::eq(function.as_bytes(), &first[3..9]), "borrowed");
+        let capacity = args.capacity();
+        match RequestRef::parse(&second, &mut args).unwrap() {
+            RequestRef::Validate { function, args } => {
+                assert_eq!((function, args), ("strlen", &[SimValue::NULL][..]));
+            }
+            other => panic!("expected a validate: {other:?}"),
+        }
+        assert_eq!(args.capacity(), capacity, "the vector is reused");
+    }
+
+    #[test]
+    fn verdict_writer_names_a_type_as_its_owned_notation() {
+        for check in [TypeExpr::RArrayNull(44), TypeExpr::Nts, TypeExpr::NtsMax(7)] {
+            for verdict in [
+                Verdict::Reject { arg: 2, check },
+                Verdict::WouldRepair { arg: 0, check },
+            ] {
+                let mut in_place = Vec::new();
+                verdict.encode(&mut in_place);
+                let mut owned = Vec::new();
+                Response::Validated(verdict.into_owned()).encode(&mut owned);
+                assert_eq!(in_place, owned, "{verdict:?}");
+            }
+        }
+        // Over-long text is cut at the same bound either way.
+        let long = "x".repeat(u16::MAX as usize + 10);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        put_display(&mut a, &long);
+        put_string(&mut b, &long);
+        assert_eq!(a, b);
     }
 
     #[test]

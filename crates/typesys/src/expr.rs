@@ -169,57 +169,66 @@ impl TypeExpr {
 
     /// The paper's notation for the type, e.g. `R_ARRAY_NULL[44]`.
     pub fn notation(self) -> String {
+        match self.name_and_size() {
+            (name, None) => name.into(),
+            (name, Some(s)) => format!("{name}[{s}]"),
+        }
+    }
+
+    /// The one name table behind [`TypeExpr::notation`] and `Display`:
+    /// the notation's name and its size parameter, if any.
+    fn name_and_size(self) -> (&'static str, Option<u32>) {
         use TypeExpr::*;
         match self {
-            Null => "NULL".into(),
-            Invalid => "INVALID".into(),
-            RonlyFixed(s) => format!("RONLY_FIXED[{s}]"),
-            RwFixed(s) => format!("RW_FIXED[{s}]"),
-            WonlyFixed(s) => format!("WONLY_FIXED[{s}]"),
-            RArray(s) => format!("R_ARRAY[{s}]"),
-            WArray(s) => format!("W_ARRAY[{s}]"),
-            RwArray(s) => format!("RW_ARRAY[{s}]"),
-            RArrayNull(s) => format!("R_ARRAY_NULL[{s}]"),
-            WArrayNull(s) => format!("W_ARRAY_NULL[{s}]"),
-            RwArrayNull(s) => format!("RW_ARRAY_NULL[{s}]"),
-            Unconstrained => "UNCONSTRAINED".into(),
-            RonlyFile => "RONLY_FILE".into(),
-            RwFile => "RW_FILE".into(),
-            WonlyFile => "WONLY_FILE".into(),
-            ClosedFile => "CLOSED_FILE".into(),
-            RFile => "R_FILE".into(),
-            WFile => "W_FILE".into(),
-            OpenFile => "OPEN_FILE".into(),
-            OpenFileNull => "OPEN_FILE_NULL".into(),
-            OpenDirF => "OPEN_DIR_F".into(),
-            StaleDir => "STALE_DIR".into(),
-            OpenDir => "OPEN_DIR".into(),
-            OpenDirNull => "OPEN_DIR_NULL".into(),
-            NtsRo(l) => format!("NTS_RO[{l}]"),
-            NtsRw(l) => format!("NTS_RW[{l}]"),
-            NtsMax(l) => format!("NTS_MAX[{l}]"),
-            Nts => "NTS".into(),
-            NtsWritable => "NTS_RW_ANY".into(),
-            NtsNull => "NTS_NULL".into(),
-            ModeValid => "MODE_VALID".into(),
-            ModeBogus => "MODE_BOGUS".into(),
-            ModeShort => "MODE_SHORT".into(),
-            IntNeg => "INT_NEG".into(),
-            IntZero => "INT_ZERO".into(),
-            IntPos => "INT_POS".into(),
-            IntNonNeg => "INT_NONNEG".into(),
-            IntNonPos => "INT_NONPOS".into(),
-            IntAny => "INT_ANY".into(),
-            FdRonly => "FD_RONLY".into(),
-            FdWonly => "FD_WONLY".into(),
-            FdRdwr => "FD_RDWR".into(),
-            FdClosed => "FD_CLOSED".into(),
-            FdNegative => "FD_NEGATIVE".into(),
-            FdReadable => "FD_READABLE".into(),
-            FdWritable => "FD_WRITABLE".into(),
-            FdOpen => "FD_OPEN".into(),
-            SpeedValid => "SPEED_VALID".into(),
-            SpeedBogus => "SPEED_BOGUS".into(),
+            Null => ("NULL", None),
+            Invalid => ("INVALID", None),
+            RonlyFixed(s) => ("RONLY_FIXED", Some(s)),
+            RwFixed(s) => ("RW_FIXED", Some(s)),
+            WonlyFixed(s) => ("WONLY_FIXED", Some(s)),
+            RArray(s) => ("R_ARRAY", Some(s)),
+            WArray(s) => ("W_ARRAY", Some(s)),
+            RwArray(s) => ("RW_ARRAY", Some(s)),
+            RArrayNull(s) => ("R_ARRAY_NULL", Some(s)),
+            WArrayNull(s) => ("W_ARRAY_NULL", Some(s)),
+            RwArrayNull(s) => ("RW_ARRAY_NULL", Some(s)),
+            Unconstrained => ("UNCONSTRAINED", None),
+            RonlyFile => ("RONLY_FILE", None),
+            RwFile => ("RW_FILE", None),
+            WonlyFile => ("WONLY_FILE", None),
+            ClosedFile => ("CLOSED_FILE", None),
+            RFile => ("R_FILE", None),
+            WFile => ("W_FILE", None),
+            OpenFile => ("OPEN_FILE", None),
+            OpenFileNull => ("OPEN_FILE_NULL", None),
+            OpenDirF => ("OPEN_DIR_F", None),
+            StaleDir => ("STALE_DIR", None),
+            OpenDir => ("OPEN_DIR", None),
+            OpenDirNull => ("OPEN_DIR_NULL", None),
+            NtsRo(l) => ("NTS_RO", Some(l)),
+            NtsRw(l) => ("NTS_RW", Some(l)),
+            NtsMax(l) => ("NTS_MAX", Some(l)),
+            Nts => ("NTS", None),
+            NtsWritable => ("NTS_RW_ANY", None),
+            NtsNull => ("NTS_NULL", None),
+            ModeValid => ("MODE_VALID", None),
+            ModeBogus => ("MODE_BOGUS", None),
+            ModeShort => ("MODE_SHORT", None),
+            IntNeg => ("INT_NEG", None),
+            IntZero => ("INT_ZERO", None),
+            IntPos => ("INT_POS", None),
+            IntNonNeg => ("INT_NONNEG", None),
+            IntNonPos => ("INT_NONPOS", None),
+            IntAny => ("INT_ANY", None),
+            FdRonly => ("FD_RONLY", None),
+            FdWonly => ("FD_WONLY", None),
+            FdRdwr => ("FD_RDWR", None),
+            FdClosed => ("FD_CLOSED", None),
+            FdNegative => ("FD_NEGATIVE", None),
+            FdReadable => ("FD_READABLE", None),
+            FdWritable => ("FD_WRITABLE", None),
+            FdOpen => ("FD_OPEN", None),
+            SpeedValid => ("SPEED_VALID", None),
+            SpeedBogus => ("SPEED_BOGUS", None),
         }
     }
 }
@@ -293,9 +302,13 @@ impl TypeExpr {
     }
 }
 
+/// Writes [`TypeExpr::notation`] without allocating.
 impl fmt::Display for TypeExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.notation())
+        match self.name_and_size() {
+            (name, None) => f.write_str(name),
+            (name, Some(s)) => write!(f, "{name}[{s}]"),
+        }
     }
 }
 
@@ -326,6 +339,7 @@ mod tests {
     fn notation_roundtrip() {
         let samples = crate::universe::full_universe(&[1, 44, 148]);
         for t in samples {
+            assert_eq!(t.to_string(), t.notation(), "Display and notation agree");
             assert_eq!(
                 TypeExpr::parse_notation(&t.notation()),
                 Some(t),

@@ -1,8 +1,9 @@
 //! CLI contract tests for `healers serve` and `healers bench serve`:
 //! `serve exec` replays a script deterministically (byte-identical raw
 //! reply streams across `--workers`, rendered replies identical to the
-//! committed `smoke.expected` transcript), warm cache startups report zero
-//! injected calls, and misuse exits with status 2.
+//! committed `smoke.expected` transcript, and likewise for the
+//! `--repair-hints` and same-frame `stats` pins), warm cache startups
+//! report zero injected calls, and misuse exits with status 2.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -89,6 +90,118 @@ fn serve_exec_reply_bytes_are_identical_across_worker_counts() {
     assert!(text.contains("reported:"), "{text}");
     assert!(text.contains("bye"), "{text}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn pinned(name: &str) -> String {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/serve_scripts/{name}"));
+    String::from_utf8(std::fs::read(path).unwrap()).unwrap()
+}
+
+/// `serve exec` `script` over `functions` at `--workers 1` and `4`
+/// with `extra` flags: asserts both runs succeed with identical
+/// transcripts, and returns the transcript and both raw reply streams.
+/// (A `stats` reply's raw bytes carry one row per worker, so only
+/// scripts without one have worker-invariant raw streams.)
+fn exec_at_one_and_four_workers(
+    tag: &str,
+    script: &str,
+    extra: &[&str],
+    functions: &[&str],
+) -> (String, [Vec<u8>; 2]) {
+    let dir = temp_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut runs = Vec::new();
+    for workers in ["1", "4"] {
+        let raw = dir.join(format!("w{workers}.bin")).display().to_string();
+        let mut args = vec![
+            "serve",
+            "exec",
+            "--script",
+            script,
+            "--workers",
+            workers,
+            "--raw-out",
+            &raw,
+        ];
+        args.extend_from_slice(extra);
+        args.extend_from_slice(functions);
+        let out = healers(&args);
+        assert!(
+            out.status.success(),
+            "serve exec --workers {workers} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        runs.push((
+            String::from_utf8(out.stdout).unwrap(),
+            std::fs::read(&raw).unwrap(),
+        ));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    let [(text1, raw1), (text4, raw4)]: [(String, Vec<u8>); 2] = runs.try_into().unwrap();
+    assert_eq!(text1, text4, "rendered replies diverge");
+    assert!(!raw1.is_empty());
+    (text1, [raw1, raw4])
+}
+
+#[test]
+fn serve_exec_repair_hints_replies_match_their_pin() {
+    // The only pin of the `WouldRepair` verdict's wire form.
+    let (text, raw) = exec_at_one_and_four_workers(
+        "repair",
+        &smoke_script(),
+        &["--repair-hints"],
+        &["strlen", "strcpy", "abs", "memset"],
+    );
+    assert_eq!(
+        text,
+        pinned("smoke.repair.expected"),
+        "rendered replies drifted from tests/serve_scripts/smoke.repair.expected"
+    );
+    assert!(
+        text.contains("validated: would-repair arg 0 check NTS"),
+        "{text}"
+    );
+    assert_eq!(raw[0], raw[1], "raw reply streams diverge across workers");
+}
+
+#[test]
+fn serve_exec_stats_see_every_earlier_request_of_their_frame() {
+    let (text, _) = exec_at_one_and_four_workers(
+        "stats-frame",
+        &serve_script("stats_frame"),
+        &[],
+        &["strlen", "strcpy", "abs", "memset"],
+    );
+    assert_eq!(
+        text,
+        pinned("stats_frame.expected"),
+        "rendered replies drifted from tests/serve_scripts/stats_frame.expected"
+    );
+}
+
+#[test]
+fn serve_exec_serves_a_repeated_name_once() {
+    let (text, _) = exec_at_one_and_four_workers(
+        "repeated",
+        &serve_script("stats_frame"),
+        &[],
+        &["strlen", "abs", "strlen"],
+    );
+    let rows: Vec<&str> = text
+        .lines()
+        .filter(|l| l.trim_start().starts_with("fn "))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            "    fn strlen admitted 1 rejected 1 unchecked 0",
+            "    fn abs admitted 0 rejected 0 unchecked 0",
+            "    fn strlen admitted 1 rejected 1 unchecked 0",
+            "    fn abs admitted 0 rejected 0 unchecked 1",
+        ],
+        "{text}"
+    );
 }
 
 #[test]
