@@ -114,23 +114,6 @@ fn bench_checking_modes(c: &mut Criterion) {
             run_workload(&libc, &gcc, Some(w))
         })
     });
-    group.bench_function("full_auto_interpreted_plans", |b| {
-        // Ablate the build-time plan compilation: full_auto's default
-        // is the compiled flat op array, so forcing the interpreted
-        // per-call claim walk isolates what fusion + dispatch hoisting
-        // buy on a call-heavy workload.
-        b.iter(|| {
-            let config = WrapperConfig {
-                plan_mode: Some(healers_core::PlanMode::Interpreted),
-                ..WrapperConfig::full_auto()
-            };
-            let w = WrapperBuilder::new()
-                .decls(decls.clone())
-                .config(config)
-                .build();
-            run_workload(&libc, &gcc, Some(w))
-        })
-    });
     group.bench_function("string_functions_only", |b| {
         let enabled: BTreeSet<String> = ["strcpy", "strcat", "strncpy", "strlen", "strcmp"]
             .iter()

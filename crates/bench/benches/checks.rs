@@ -141,46 +141,40 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Compiled check plans vs. the interpreted claim walk: the same
-/// wrapped call and the same bare `precheck` through both check
-/// programs — the per-op speedup Table 2's hot-path row comes from.
-fn bench_plan_modes(c: &mut Criterion) {
-    use healers_core::{analyze, PlanMode, WrapperBuilder, WrapperConfig};
+/// The compiled check plan on its two entry points: a whole wrapped
+/// call and a bare `precheck` — the per-op cost Table 2's hot-path row
+/// comes from.
+fn bench_compiled_plan(c: &mut Criterion) {
+    use healers_core::{analyze, WrapperBuilder, WrapperConfig};
     use healers_libc::Libc;
 
     let libc = Libc::standard();
     let decls = analyze(&libc, &["strlen", "strcpy"]);
-    let make = |mode| {
+    let make = || {
         WrapperBuilder::new()
             .decls(decls.clone())
-            .config(WrapperConfig {
-                plan_mode: Some(mode),
-                ..WrapperConfig::full_auto()
-            })
+            .config(WrapperConfig::full_auto())
             .build()
     };
     let mut world = World::new();
     let s = world.alloc_cstr("compiled plan hot path probe");
 
+    // Group and entry names predate the single engine; kept so saved
+    // Criterion baselines still compare.
     let mut group = c.benchmark_group("plan-modes");
-    for (label, mode) in [
-        ("compiled", PlanMode::Compiled),
-        ("interpreted", PlanMode::Interpreted),
-    ] {
-        let mut wrapper = make(mode);
-        group.bench_function(format!("wrapped_strlen_{label}"), |b| {
-            b.iter(|| {
-                wrapper
-                    .call(&libc, &mut world, "strlen", &[SimValue::Ptr(s)])
-                    .unwrap()
-            })
-        });
-        let mut wrapper = make(mode);
-        let id = wrapper.resolve("strlen").unwrap();
-        group.bench_function(format!("precheck_strlen_{label}"), |b| {
-            b.iter(|| assert!(wrapper.precheck(&world, id, &[SimValue::Ptr(s)])))
-        });
-    }
+    let mut wrapper = make();
+    group.bench_function("wrapped_strlen_compiled", |b| {
+        b.iter(|| {
+            wrapper
+                .call(&libc, &mut world, "strlen", &[SimValue::Ptr(s)])
+                .unwrap()
+        })
+    });
+    let mut wrapper = make();
+    let id = wrapper.resolve("strlen").unwrap();
+    group.bench_function("precheck_strlen_compiled", |b| {
+        b.iter(|| assert!(wrapper.precheck(&world, id, &[SimValue::Ptr(s)])))
+    });
     group.finish();
 }
 
@@ -233,7 +227,7 @@ criterion_group!(
     benches,
     bench_checks,
     bench_kernels,
-    bench_plan_modes,
+    bench_compiled_plan,
     bench_gate
 );
 criterion_main!(benches);

@@ -13,7 +13,8 @@
 //! (`derive_seed`), so the serial run and `--jobs N` print identical
 //! reports for any N. `--on-violation abort|error|repair` overrides
 //! the wrapped configurations' violation policy (the CI repair-smoke
-//! job byte-diffs the repair run across jobs and plan modes).
+//! job byte-diffs the repair run across jobs and against
+//! `tests/expected/fig6.repair.txt`).
 
 use healers_ballista::{Ballista, BallistaReport, Mode};
 use healers_campaign::{Campaign, CampaignConfig};

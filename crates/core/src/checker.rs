@@ -26,9 +26,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use healers_libc::{file, World};
-use healers_os::Termios;
 use healers_simproc::{Addr, SimValue, HEAP_BASE, STACK_BASE};
 use healers_typesys::TypeExpr;
+
+use crate::plan::{eval_op, CheckOp};
 
 /// Upper bound on string-validation scans (a terminated string longer
 /// than this is rejected rather than scanned forever).
@@ -430,7 +431,10 @@ pub(crate) fn check_dir_integrity(world: &World, ptr: Addr, ctrs: &mut CheckCoun
     }
 }
 
-/// Check one value against one (checkable) type, discarding counters.
+/// Check one value against one (checkable) type, discarding counters:
+/// the claim compiles to the same one-op program the wrapper builds
+/// for it ([`action_for`](crate::plan::action_for)), and `eval_op` runs
+/// it on the shipping kernels.
 ///
 /// # Panics
 ///
@@ -444,101 +448,15 @@ pub fn check_value(
     value: SimValue,
     t: TypeExpr,
 ) -> bool {
-    check_value_counted(world, tables, caps, value, t, &mut CheckCounters::default())
-}
-
-/// Check one value against one (checkable) type, recording which
-/// checking kernels ran (and how many bytes they covered) in `ctrs` —
-/// the instrumented entry point the wrapper's stats are built on.
-///
-/// # Panics
-///
-/// Panics when asked to check a type for which no checking function
-/// exists under the given capabilities — callers must first degrade via
-/// [`checkable_supertype`].
-pub fn check_value_counted(
-    world: &World,
-    tables: &Tables,
-    caps: &CheckCapabilities,
-    value: SimValue,
-    t: TypeExpr,
-    ctrs: &mut CheckCounters,
-) -> bool {
-    use TypeExpr::*;
-    let ptr = value.as_ptr();
-    match t {
-        Unconstrained | IntAny => true,
-        Null => value.is_null(),
-        RArray(s) => check_region(world, tables, caps, ptr, s, true, false, ctrs),
-        WArray(s) => check_region(world, tables, caps, ptr, s, false, true, ctrs),
-        RwArray(s) => check_region(world, tables, caps, ptr, s, true, true, ctrs),
-        RArrayNull(s) => {
-            value.is_null() || check_region(world, tables, caps, ptr, s, true, false, ctrs)
-        }
-        WArrayNull(s) => {
-            value.is_null() || check_region(world, tables, caps, ptr, s, false, true, ctrs)
-        }
-        RwArrayNull(s) => {
-            value.is_null() || check_region(world, tables, caps, ptr, s, true, true, ctrs)
-        }
-        OpenFile => check_file(world, tables, caps, ptr, false, false, ctrs),
-        OpenFileNull => value.is_null() || check_file(world, tables, caps, ptr, false, false, ctrs),
-        RFile => check_file(world, tables, caps, ptr, true, false, ctrs),
-        WFile => check_file(world, tables, caps, ptr, false, true, ctrs),
-        OpenDir => tables.open_dirs.contains(&ptr) && check_dir_integrity(world, ptr, ctrs),
-        OpenDirNull => {
-            value.is_null()
-                || (tables.open_dirs.contains(&ptr) && check_dir_integrity(world, ptr, ctrs))
-        }
-        Nts => scan_string(world, ptr, MAX_STRING_SCAN, false, ctrs).is_some(),
-        NtsWritable => scan_string(world, ptr, MAX_STRING_SCAN, true, ctrs).is_some(),
-        NtsNull => {
-            value.is_null() || scan_string(world, ptr, MAX_STRING_SCAN, false, ctrs).is_some()
-        }
-        NtsMax(l) => scan_string(world, ptr, l, false, ctrs).is_some(),
-        ModeShort => scan_string(
-            world,
-            ptr,
-            healers_typesys::order::MODE_MAX_LEN,
-            false,
-            ctrs,
-        )
-        .is_some(),
-        ModeValid => match scan_string(
-            world,
-            ptr,
-            healers_typesys::order::MODE_MAX_LEN,
-            false,
-            ctrs,
-        ) {
-            Some(len) if len > 0 => {
-                let first = world.proc.mem.read_u8(ptr).unwrap_or(0);
-                matches!(first, b'r' | b'w' | b'a')
-            }
-            _ => false,
-        },
-        IntNeg => value.as_int() < 0,
-        IntZero => value.as_int() == 0,
-        IntPos => value.as_int() > 0,
-        IntNonNeg => value.as_int() >= 0,
-        IntNonPos => value.as_int() <= 0,
-        FdOpen => world.kernel.fd_is_open(value.as_int() as i32),
-        FdReadable => world
-            .kernel
-            .fd_flags(value.as_int() as i32)
-            .map(|f| f.read)
-            .unwrap_or(false),
-        FdWritable => world
-            .kernel
-            .fd_flags(value.as_int() as i32)
-            .map(|f| f.write)
-            .unwrap_or(false),
-        SpeedValid => {
-            let v = value.as_int();
-            v >= 0 && v <= i64::from(u32::MAX) && Termios::is_valid_speed(v as u32)
-        }
-        other => panic!("no checking function for {other}"),
-    }
+    let op = CheckOp::claim(0, t, false);
+    eval_op(
+        world,
+        tables,
+        caps,
+        &[value],
+        &op,
+        &mut CheckCounters::default(),
+    )
 }
 
 #[cfg(test)]
@@ -994,23 +912,23 @@ mod tests {
         let s = world.alloc_cstr("hello");
 
         let mut ctrs = CheckCounters::default();
-        assert!(check_value_counted(
+        assert!(eval_op(
             &world,
             &tables,
             &caps(),
-            SimValue::Ptr(tracked),
-            TypeExpr::RwArray(64),
+            &[SimValue::Ptr(tracked)],
+            &CheckOp::claim(0, TypeExpr::RwArray(64), false),
             &mut ctrs
         ));
         assert_eq!(ctrs.table_hits, 1);
         assert_eq!(ctrs.run_probes, 0);
 
-        assert!(check_value_counted(
+        assert!(eval_op(
             &world,
             &tables,
             &caps(),
-            SimValue::Ptr(s),
-            TypeExpr::Nts,
+            &[SimValue::Ptr(s)],
+            &CheckOp::claim(0, TypeExpr::Nts, false),
             &mut ctrs
         ));
         assert_eq!(ctrs.nul_scans, 1);
@@ -1021,12 +939,12 @@ mod tests {
             stateful_heap: false,
             ..caps()
         };
-        assert!(check_value_counted(
+        assert!(eval_op(
             &world,
             &tables,
             &stateless,
-            SimValue::Ptr(tracked),
-            TypeExpr::RwArray(64),
+            &[SimValue::Ptr(tracked)],
+            &CheckOp::claim(0, TypeExpr::RwArray(64), false),
             &mut ctrs
         ));
         assert_eq!(ctrs.run_probes, 1);

@@ -1,26 +1,29 @@
 //! Compiled check plans: build-time specialization of each wrapped
-//! function's checks into one flat superword-bytecode program.
+//! function's checks into one flat superword-bytecode program — the
+//! wrapper's only check engine.
 //!
-//! The interpreted wrapper re-derives everything on every call: a
-//! `BTreeMap` dispatch per table, a walk over `Vec<Option<TypeExpr>>`
-//! skipping unchecked slots, a `match` over the full type lattice per
-//! claim, and a second loop over the executable assertions. All of
-//! that is known at [`WrapperBuilder::build`](crate::WrapperBuilder)
-//! time, so the builder now *compiles* it once: per function, one
-//! contiguous [`CheckOp`] array — typed claims in argument order, then
-//! assertions — where every op carries its argument index, its
-//! pre-resolved [`CheckKind`], its cacheability, and a flattened
-//! [`OpAction`] that `eval_op` dispatches on with a single shallow
-//! match. The hot path walks a dense slice with no `Option` skips, no
-//! lattice match, and no allocation.
+//! Everything a check needs is known at
+//! [`WrapperBuilder::build`](crate::WrapperBuilder) time: which
+//! arguments carry a claim, which checker kernel each claim resolves
+//! to, and which executable assertions apply. The builder compiles it
+//! once: per function, one contiguous [`CheckOp`] array — typed claims
+//! in argument order, then the format op, then assertions — where
+//! every op carries its argument index, its pre-resolved
+//! [`CheckKind`], its cacheability, and a flattened [`OpAction`] that
+//! `eval_op` dispatches on with a single shallow match. The hot path
+//! walks a dense slice with no `Option` skips, no type-lattice match,
+//! no name lookup, and no allocation.
 //!
-//! Outcome equivalence is by construction *and* by test:
-//! [`action_for`] is a bijective re-encoding of the
-//! [`check_value_counted`](crate::checker::check_value_counted) match
-//! arms (each `OpAction` arm calls the *same* `pub(crate)` checker
-//! kernels with the same operands), and the differential tests below
-//! drive both evaluators over the entire checkable universe asserting
-//! identical verdicts and identical [`CheckCounters`] traffic.
+//! [`action_for`] is the one place the type lattice is matched: each
+//! checkable claim maps to exactly one `OpAction` whose arm calls the
+//! `pub(crate)` checker kernels. [`check_value`](crate::checker::check_value)
+//! is `eval_op` over `action_for`. Test builds keep the original
+//! interpreted walk — the per-claim lattice match and the wrapper's
+//! claim/assertion loops — as a reference oracle: the differential
+//! tests below sweep it against `eval_op` over the entire checkable
+//! universe asserting identical verdicts and identical
+//! [`CheckCounters`] traffic, and every check the wrapper runs in its
+//! unit tests is shadowed by it.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -35,32 +38,6 @@ use crate::checker::{
     CheckKind, Tables, MAX_STRING_SCAN,
 };
 use crate::overrides::{SizeAssertion, SizeTerm};
-
-/// Which check program the wrapper executes on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// The flat compiled [`CheckOp`] program (the default).
-    #[default]
-    Compiled,
-    /// The original per-call plan interpretation — kept as the
-    /// reference implementation the compiled path is differentially
-    /// validated against (CI byte-diffs Fig6/Table1/report between the
-    /// two modes).
-    Interpreted,
-}
-
-/// Resolve the plan mode from the `HEALERS_PLAN_MODE` environment
-/// variable: `interpreted` (any case) selects [`PlanMode::Interpreted`],
-/// everything else — including unset — the compiled default. Consulted
-/// once per [`WrapperBuilder::build`](crate::WrapperBuilder::build)
-/// when the config leaves the mode unset, so every binary in the
-/// workspace can be flipped without CLI plumbing.
-pub fn plan_mode_from_env() -> PlanMode {
-    match std::env::var("HEALERS_PLAN_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("interpreted") => PlanMode::Interpreted,
-        _ => PlanMode::Compiled,
-    }
-}
 
 /// Integer-domain comparison for the scalar claims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,9 +152,24 @@ pub struct CheckOp {
 }
 
 impl CheckOp {
+    /// The op enforcing claim `t` on argument `arg`; `cacheable` is the
+    /// config's validity-cache switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` is not checkable (see [`action_for`]).
+    pub(crate) fn claim(arg: u32, t: TypeExpr, cacheable: bool) -> CheckOp {
+        CheckOp {
+            arg,
+            kind: CheckKind::of(t),
+            ty: Some(t),
+            cacheable,
+            action: action_for(t),
+        }
+    }
+
     /// The violation description: the claim's type notation, or the
-    /// assertion's term dump (identical to the interpreted wrapper's
-    /// message).
+    /// assertion's term dump.
     pub fn describe(&self) -> String {
         match (&self.ty, &self.action) {
             (Some(t), _) => t.notation(),
@@ -230,14 +222,9 @@ impl CompiledPlan {
         let mut ops = Vec::new();
         if let Some(plan) = plan {
             for (i, t) in plan.iter().enumerate() {
-                let Some(t) = t else { continue };
-                ops.push(CheckOp {
-                    arg: i as u32,
-                    kind: CheckKind::of(*t),
-                    ty: Some(*t),
-                    cacheable: cache,
-                    action: action_for(*t),
-                });
+                if let Some(t) = t {
+                    ops.push(CheckOp::claim(i as u32, *t, cache));
+                }
             }
         }
         let claims = ops.len();
@@ -286,15 +273,14 @@ impl CompiledPlan {
     }
 }
 
-/// The compiled encoding of one checkable claim — a one-to-one
-/// re-statement of the
-/// [`check_value_counted`](crate::checker::check_value_counted) match
-/// arms.
+/// The compiled encoding of one checkable claim: the one match over
+/// the type lattice, each arm naming the checker kernel and its
+/// operands.
 ///
 /// # Panics
 ///
-/// Panics for claims that are not checkable under any capability set —
-/// the same contract as the interpreted checker; builders degrade via
+/// Panics for claims that are not checkable under any capability set;
+/// builders degrade via
 /// [`checkable_supertype`](crate::checker::checkable_supertype) first.
 pub fn action_for(t: TypeExpr) -> OpAction {
     use TypeExpr::*;
@@ -513,12 +499,11 @@ pub(crate) fn assertion_size(
     Some(total)
 }
 
-/// Execute one compiled op against a call's argument vector. Verdict
-/// and [`CheckCounters`] traffic are identical to interpreting the
-/// op's source claim through
-/// [`check_value_counted`](crate::checker::check_value_counted) (or,
-/// for assertions, through the wrapper's assertion loop): both paths
-/// call the same checker kernels with the same operands.
+/// Execute one compiled op against a call's argument vector, recording
+/// which checking kernels ran (and how many bytes they covered) in
+/// `ctrs`. Test builds compare verdict and [`CheckCounters`] traffic
+/// against the interpreted reference walk over the op's source claim
+/// (or, for assertions, the wrapper's original assertion loop).
 pub(crate) fn eval_op(
     world: &World,
     tables: &Tables,
@@ -602,9 +587,9 @@ pub(crate) fn eval_op(
         OpAction::Assertion { ref terms, write } => {
             match assertion_size(world, args, terms, ctrs) {
                 Some(needed) if needed <= u64::from(u32::MAX) => {
-                    // `needed == 0` short-circuits exactly like the
-                    // interpreted loop; otherwise the buffer claim is a
-                    // plain region check of the computed size.
+                    // `needed == 0` admits without touching the buffer;
+                    // otherwise the buffer claim is a plain region
+                    // check of the computed size.
                     needed == 0
                         || check_region(
                             world,
@@ -659,7 +644,8 @@ pub(crate) type ValidityCache = HashMap<(Addr, TypeExpr), u64, BuildHasherDefaul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{check_value_counted, checkable, checkable_supertype};
+    use crate::checker::{checkable, checkable_supertype};
+    use crate::wrapper::oracle::{check_assertion_counted, check_value_counted};
     use healers_libc::Libc;
 
     fn all_caps() -> Vec<CheckCapabilities> {
@@ -742,13 +728,7 @@ mod tests {
                 // Exactly what the builder does: degrade, then compile.
                 let t = checkable_supertype(t, &caps);
                 assert!(checkable(t, &caps));
-                let op = CheckOp {
-                    arg: 0,
-                    kind: CheckKind::of(t),
-                    ty: Some(t),
-                    cacheable: false,
-                    action: action_for(t),
-                };
+                let op = CheckOp::claim(0, t, false);
                 for &value in &values {
                     let mut c1 = CheckCounters::default();
                     let mut c2 = CheckCounters::default();
@@ -791,21 +771,8 @@ mod tests {
                     let mut c1 = CheckCounters::default();
                     let mut c2 = CheckCounters::default();
                     let compiled = eval_op(&world, &tables, &caps, &args, op, &mut c1);
-                    // The interpreted reference: the wrapper's original
-                    // assertion block, verbatim.
-                    let value = args.get(a.buf_arg).copied().unwrap_or(SimValue::Void);
-                    let interpreted = match assertion_size(&world, &args, &a.terms, &mut c2) {
-                        Some(needed) if needed <= u64::from(u32::MAX) => {
-                            let t = if a.write {
-                                TypeExpr::WArray(needed as u32)
-                            } else {
-                                TypeExpr::RArray(needed as u32)
-                            };
-                            needed == 0
-                                || check_value_counted(&world, &tables, &caps, value, t, &mut c2)
-                        }
-                        _ => false,
-                    };
+                    let interpreted =
+                        check_assertion_counted(&world, &tables, &caps, &args, a, &mut c2);
                     assert_eq!(
                         compiled, interpreted,
                         "assertion verdict diverged for {a:?} on {args:?}"
@@ -837,7 +804,7 @@ mod tests {
         assert_eq!(
             compiled.ops()[2].describe(),
             format!("size assertion over {:?}", asserts[0].terms),
-            "assertion violation text must match the interpreted wrapper's"
+            "assertion violation text must match the reference walk's"
         );
         assert!(CompiledPlan::default().is_empty());
     }
@@ -919,19 +886,6 @@ mod tests {
             check_format(&world, &[dst, SimValue::NULL], 1, 2, &mut c),
             Some(FormatViolation::BadFormat { arg: 1 })
         );
-    }
-
-    #[test]
-    fn env_mode_selection() {
-        // Only ever read through plan_mode_from_env in builds; the
-        // test documents the accepted spelling.
-        assert_eq!(PlanMode::default(), PlanMode::Compiled);
-        std::env::set_var("HEALERS_PLAN_MODE", "Interpreted");
-        assert_eq!(plan_mode_from_env(), PlanMode::Interpreted);
-        std::env::set_var("HEALERS_PLAN_MODE", "compiled");
-        assert_eq!(plan_mode_from_env(), PlanMode::Compiled);
-        std::env::remove_var("HEALERS_PLAN_MODE");
-        assert_eq!(plan_mode_from_env(), PlanMode::Compiled);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use healers_libc::registry::CFunction;
+use healers_libc::world::{int_arg, ptr_arg};
 use healers_libc::{file, Libc, World};
 use healers_os::OpenFlags;
 use healers_simproc::{Addr, SimFault, SimValue};
@@ -25,15 +26,18 @@ use healers_trace::recorder::flight;
 use healers_trace::Histogram;
 
 use crate::checker::{
-    check_value_counted, checkable_supertype, scan_string, CheckCapabilities, CheckCounters,
-    CheckKind, CheckOutcomes, Tables, MAX_STRING_SCAN,
+    checkable_supertype, scan_string, CheckCapabilities, CheckCounters, CheckKind, CheckOutcomes,
+    Tables, MAX_STRING_SCAN,
 };
 use crate::decl::FunctionDecl;
 use crate::overrides::{ManualOverride, SizeAssertion, SizeTerm};
 use crate::plan::{
-    assertion_size, check_format, eval_op, format_spec, plan_mode_from_env, CheckOp, CompiledPlan,
-    FormatViolation, IntCond, OpAction, PlanMode, ValidityCache,
+    assertion_size, check_format, eval_op, format_spec, CheckOp, CompiledPlan, FormatViolation,
+    IntCond, OpAction, ValidityCache,
 };
+
+#[cfg(test)]
+pub(crate) mod oracle;
 
 /// What the wrapper does when an argument check fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,12 +137,6 @@ pub struct WrapperConfig {
     /// techniques to check the validity of pointer as described in
     /// \[3\]").
     pub check_cache: bool,
-    /// Which check program the hot path executes. `None` (the default)
-    /// consults the `HEALERS_PLAN_MODE` environment variable at build
-    /// time ([`crate::plan::plan_mode_from_env`]), so any binary can be
-    /// flipped to the interpreted reference without CLI plumbing; set
-    /// it explicitly to pin a mode (the ablation benches do).
-    pub plan_mode: Option<PlanMode>,
     /// Re-run the checks at [`RobustnessWrapper::finish_call`] when the
     /// call was preempted inside its check-vs-call window. Off by
     /// default — the 2002 paper's wrapper checks once, which is exactly
@@ -167,7 +165,6 @@ impl WrapperConfig {
             // generation, so enabling it never changes check outcomes —
             // only skips re-probing unchanged pointers.
             check_cache: true,
-            plan_mode: None,
             revalidate_on_preempt: false,
         }
     }
@@ -361,9 +358,8 @@ pub struct Repair {
 
 /// The first failing check of a call's prefix: everything the
 /// violation and repair paths need about it. `op` indexes the entry's
-/// compiled program — both plan modes count ops identically, so the
-/// repair dispatch works under either.
-#[derive(Debug, Clone)]
+/// compiled program, which the repair dispatch reads back.
+#[derive(Debug, Clone, PartialEq)]
 struct CheckFailure {
     op: usize,
     arg: usize,
@@ -601,15 +597,12 @@ impl WrapperBuilder {
             index.insert(name, entries.len() - 1);
         }
 
-        let mode = config.plan_mode.unwrap_or_else(plan_mode_from_env);
         RobustnessWrapper {
             decls: decl_map,
             plans,
-            assertions,
             index,
             entries,
             caps,
-            mode,
             config,
             tables: Tables::default(),
             check_cache: ValidityCache::default(),
@@ -624,10 +617,6 @@ impl WrapperBuilder {
     }
 }
 
-/// The allocator/handle functions whose postfix effects keep the
-/// tracking tables current (§5.1–5.2) — each bumps the cache
-/// generation, so `TRACKED` membership and generation bumps are the
-/// same set by construction.
 /// Copy of a format string with every `%...n` directive removed and
 /// all other bytes untouched. The directive grammar mirrors the
 /// renderer and [`check_format`]: flags, width, `.precision`, and
@@ -674,6 +663,10 @@ fn strip_percent_n(fmt: &[u8]) -> Vec<u8> {
 /// Validity-cache entries held before the cache is flushed wholesale.
 const CHECK_CACHE_CAP: usize = 4096;
 
+/// The allocator/handle functions whose postfix effects keep the
+/// tracking tables current (§5.1–5.2) — each bumps the cache
+/// generation, so `TRACKED` membership and generation bumps are the
+/// same set by construction.
 const TRACKED: [&str; 13] = [
     "malloc", "calloc", "realloc", "free", "strdup", "getcwd", "fopen", "fdopen", "tmpfile",
     "freopen", "fclose", "opendir", "closedir",
@@ -716,7 +709,8 @@ fn track_for(name: &str) -> Track {
 /// function, resolved once at [`WrapperBuilder::build`] time.
 #[derive(Debug, Clone)]
 struct FnEntry {
-    /// Function name (interpreted-mode fallback and diagnostics).
+    /// Function name (flight-recorder events, violation log, and the
+    /// test-only reference walk).
     name: String,
     /// Whether calls are checked (a claim plan or assertions exist).
     wrapped: bool,
@@ -745,12 +739,11 @@ pub struct FnId(u32);
 #[derive(Debug, Clone)]
 pub struct RobustnessWrapper {
     decls: BTreeMap<String, FunctionDecl>,
-    /// Interpreted per-function check plans: the checkable supertype of
-    /// each argument's robust type (`None` = no check). The reference
-    /// program [`PlanMode::Interpreted`] executes; also feeds
-    /// diagnostics ([`RobustnessWrapper::plan`]) and wrapper emission.
+    /// Per-function claim lists: the checkable supertype of each
+    /// argument's robust type (`None` = no check) — the source the
+    /// compiled programs were built from, kept for diagnostics
+    /// ([`RobustnessWrapper::plan`]) and wrapper emission.
     plans: BTreeMap<String, Vec<Option<TypeExpr>>>,
-    assertions: BTreeMap<String, Vec<SizeAssertion>>,
     /// Hoisted dispatch: name → [`FnEntry`] slot. One lookup per call
     /// answers wrapped/safe/tracked/unknown at once.
     index: BTreeMap<String, usize>,
@@ -760,8 +753,6 @@ pub struct RobustnessWrapper {
     /// Capability snapshot of the config (plan-build capabilities ==
     /// check-evaluation capabilities).
     caps: CheckCapabilities,
-    /// Which check program the hot path executes.
-    mode: PlanMode,
     tables: Tables,
     /// Cached successful pointer checks: (pointer, type) → the table
     /// generation it was validated under.
@@ -848,11 +839,6 @@ impl RobustnessWrapper {
     /// The full compiled program for `name` (diagnostics and benches).
     pub fn compiled_plan(&self, name: &str) -> Option<&CompiledPlan> {
         self.index.get(name).map(|&i| &self.entries[i].plan)
-    }
-
-    /// The check program the hot path executes.
-    pub fn plan_mode(&self) -> PlanMode {
-        self.mode
     }
 
     /// Live validity-cache entries (diagnostics; bounded-growth tests).
@@ -1144,7 +1130,7 @@ impl RobustnessWrapper {
         recheck: bool,
     ) -> Result<Option<Repaired>, CheckFailure> {
         let check_started = self.config.measure.then(Instant::now);
-        let verdict = self.run_checks(world, idx, args);
+        let verdict = self.run_compiled(world, idx, args);
         if let Some(s) = check_started {
             self.stats.time_checking += s.elapsed();
         }
@@ -1190,7 +1176,7 @@ impl RobustnessWrapper {
         }
         self.stats.wrapped_calls += 1;
         let started = healers_trace::enabled().then(Instant::now);
-        let admitted = self.run_checks(world, idx, args).is_ok();
+        let admitted = self.run_compiled(world, idx, args).is_ok();
         if !admitted {
             self.stats.violations += 1;
             self.m_violations.inc();
@@ -1201,206 +1187,72 @@ impl RobustnessWrapper {
         admitted
     }
 
-    /// Execute entry `idx`'s checks under the configured plan mode —
-    /// the one place the mode is consulted. `Err` carries the first
-    /// violation as a [`CheckFailure`].
-    fn run_checks(
-        &mut self,
-        world: &World,
-        idx: usize,
-        args: &[SimValue],
-    ) -> Result<(), CheckFailure> {
-        match self.mode {
-            PlanMode::Compiled => self.run_compiled(world, idx, args),
-            PlanMode::Interpreted => self.run_interpreted(world, idx, args),
-        }
-    }
-
-    /// Execute entry `idx`'s compiled program.
+    /// Execute entry `idx`'s compiled program — the wrapper's one check
+    /// engine, behind [`RobustnessWrapper::call`]'s prefix, the repair
+    /// loop's re-runs, and [`RobustnessWrapper::precheck`]. `Err`
+    /// carries the first violation as a [`CheckFailure`]. Test builds
+    /// shadow every run with the interpreted reference walk (`oracle`)
+    /// and assert that both reach the same verdict, stats, and
+    /// validity-cache contents.
     fn run_compiled(
         &mut self,
         world: &World,
         idx: usize,
         args: &[SimValue],
     ) -> Result<(), CheckFailure> {
+        #[cfg(test)]
+        let reference = oracle::Reference::run(self, world, idx, args);
         // Field-disjoint borrows: `ops` pins `self.entries` while the
         // loop mutates `self.stats`/`self.check_cache` and reads
         // `self.tables`/`self.caps`.
         let ops: &[CheckOp] = self.entries[idx].plan.ops();
-        for (opno, op) in ops.iter().enumerate() {
-            self.stats.checks += 1;
-            let value = args.get(op.arg as usize).copied().unwrap_or(SimValue::Void);
-            // Validity caching ([3]): a pointer validated under the
-            // current table generation needs no re-probing. Compiled
-            // claim ops carry the config switch; assertions never cache.
-            let key = (op.cacheable && matches!(value, SimValue::Ptr(p) if p != 0))
-                .then(|| (value.as_ptr(), op.ty.expect("cacheable ops carry a claim")));
-            if let Some(key) = key {
-                if self.check_cache.get(&key) == Some(&self.generation) {
-                    self.stats.check_cache_hits += 1;
-                    // A cache hit is a check that (still) passes.
-                    self.stats.check_outcomes.record(op.kind, true);
-                    continue;
-                }
-            }
-            let ok = eval_op(
-                world,
-                &self.tables,
-                &self.caps,
-                args,
-                op,
-                &mut self.stats.check_kinds,
-            );
-            self.stats.check_outcomes.record(op.kind, ok);
-            if !ok {
-                return Err(CheckFailure {
-                    op: opno,
-                    arg: op.arg as usize,
-                    kind: op.kind,
-                    check: op.describe(),
-                    value,
-                });
-            }
-            if let Some(key) = key {
-                if self.check_cache.len() >= CHECK_CACHE_CAP {
-                    self.check_cache.clear();
-                }
-                self.check_cache.insert(key, self.generation);
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute entry `idx`'s checks by interpreting the per-argument
-    /// plan and assertion lists — the original wrapper loop, kept as
-    /// the reference [`PlanMode::Interpreted`] program. Stats and cache
-    /// behaviour are identical to [`RobustnessWrapper::run_compiled`]
-    /// by construction (both derive from the same build products), and
-    /// CI byte-diffs the two modes end to end.
-    fn run_interpreted(
-        &mut self,
-        world: &World,
-        idx: usize,
-        args: &[SimValue],
-    ) -> Result<(), CheckFailure> {
-        let name: &str = &self.entries[idx].name;
-        let caps = self.caps;
-        // Running op index, kept in lockstep with the compiled program:
-        // claims in argument order, then the format op, then assertions.
-        let mut opno = 0usize;
-
-        // Prefix: robust-type checks.
-        if let Some(plan) = self.plans.get(name) {
-            for (i, check) in plan.iter().enumerate() {
-                let Some(t) = check else { continue };
+        let verdict = 'ops: {
+            for (opno, op) in ops.iter().enumerate() {
                 self.stats.checks += 1;
-                let value = args.get(i).copied().unwrap_or(SimValue::Void);
-                let cache_key = (value.as_ptr(), *t);
-                let cacheable =
-                    self.config.check_cache && matches!(value, SimValue::Ptr(p) if p != 0);
-                if cacheable && self.check_cache.get(&cache_key) == Some(&self.generation) {
-                    self.stats.check_cache_hits += 1;
-                    self.stats.check_outcomes.record(CheckKind::of(*t), true);
-                    opno += 1;
-                    continue;
+                let value = args.get(op.arg as usize).copied().unwrap_or(SimValue::Void);
+                // Validity caching ([3]): a pointer validated under the
+                // current table generation needs no re-probing. Claim ops
+                // carry the config switch; assertions never cache.
+                let key = (op.cacheable && matches!(value, SimValue::Ptr(p) if p != 0))
+                    .then(|| (value.as_ptr(), op.ty.expect("cacheable ops carry a claim")));
+                if let Some(key) = key {
+                    if self.check_cache.get(&key) == Some(&self.generation) {
+                        self.stats.check_cache_hits += 1;
+                        // A cache hit is a check that (still) passes.
+                        self.stats.check_outcomes.record(op.kind, true);
+                        continue;
+                    }
                 }
-                let ok = check_value_counted(
+                let ok = eval_op(
                     world,
                     &self.tables,
-                    &caps,
-                    value,
-                    *t,
+                    &self.caps,
+                    args,
+                    op,
                     &mut self.stats.check_kinds,
                 );
-                self.stats.check_outcomes.record(CheckKind::of(*t), ok);
+                self.stats.check_outcomes.record(op.kind, ok);
                 if !ok {
-                    return Err(CheckFailure {
+                    break 'ops Err(CheckFailure {
                         op: opno,
-                        arg: i,
-                        kind: CheckKind::of(*t),
-                        check: t.notation(),
+                        arg: op.arg as usize,
+                        kind: op.kind,
+                        check: op.describe(),
                         value,
                     });
                 }
-                if cacheable {
+                if let Some(key) = key {
                     if self.check_cache.len() >= CHECK_CACHE_CAP {
                         self.check_cache.clear();
                     }
-                    self.check_cache.insert(cache_key, self.generation);
+                    self.check_cache.insert(key, self.generation);
                 }
-                opno += 1;
             }
-        }
-
-        // Prefix: printf-family format directive scan. Gated exactly
-        // like the compiled build: only functions with a robust-type
-        // plan get a format op.
-        if self.plans.contains_key(name) {
-            if let Some((fmt_arg, varargs_from)) = format_spec(name) {
-                self.stats.checks += 1;
-                let ok = check_format(
-                    world,
-                    args,
-                    fmt_arg,
-                    varargs_from,
-                    &mut self.stats.check_kinds,
-                )
-                .is_none();
-                self.stats.check_outcomes.record(CheckKind::Format, ok);
-                if !ok {
-                    return Err(CheckFailure {
-                        op: opno,
-                        arg: fmt_arg as usize,
-                        kind: CheckKind::Format,
-                        check: "printf-format directives".to_string(),
-                        value: args
-                            .get(fmt_arg as usize)
-                            .copied()
-                            .unwrap_or(SimValue::Void),
-                    });
-                }
-                opno += 1;
-            }
-        }
-
-        // Prefix: executable assertions.
-        if let Some(asserts) = self.assertions.get(name) {
-            for a in asserts {
-                self.stats.checks += 1;
-                let value = args.get(a.buf_arg).copied().unwrap_or(SimValue::Void);
-                let ok = match assertion_size(world, args, &a.terms, &mut self.stats.check_kinds) {
-                    Some(needed) if needed <= u64::from(u32::MAX) => {
-                        let t = if a.write {
-                            TypeExpr::WArray(needed as u32)
-                        } else {
-                            TypeExpr::RArray(needed as u32)
-                        };
-                        needed == 0
-                            || check_value_counted(
-                                world,
-                                &self.tables,
-                                &caps,
-                                value,
-                                t,
-                                &mut self.stats.check_kinds,
-                            )
-                    }
-                    _ => false,
-                };
-                self.stats.check_outcomes.record(CheckKind::Assertion, ok);
-                if !ok {
-                    return Err(CheckFailure {
-                        op: opno,
-                        arg: a.buf_arg,
-                        kind: CheckKind::Assertion,
-                        check: format!("size assertion over {:?}", a.terms),
-                        value,
-                    });
-                }
-                opno += 1;
-            }
-        }
-        Ok(())
+            Ok(())
+        };
+        #[cfg(test)]
+        reference.assert_agrees(self, &verdict);
+        verdict
     }
 
     /// Upper bound on fix-and-recheck iterations per call under
@@ -1434,8 +1286,8 @@ impl RobustnessWrapper {
     /// tallied into [`WrapperStats::repairs`] and
     /// [`CheckOutcomes::repaired`] and recorded on the flight recorder
     /// with its before/after values; re-run tallies count again each
-    /// iteration, identically under either plan mode, so repair-mode
-    /// reports stay byte-stable across `--jobs` and plan modes.
+    /// iteration. Every step is a pure function of the checked values,
+    /// so repair-mode reports stay byte-stable across `--jobs`.
     fn repair_call(
         &mut self,
         libc: &Libc,
@@ -1464,7 +1316,7 @@ impl RobustnessWrapper {
                 ),
             );
             fixes.push(fix);
-            match self.run_checks(world, idx, &repaired) {
+            match self.run_compiled(world, idx, &repaired) {
                 Ok(()) => return Ok((repaired, fixes)),
                 Err(f) => failure = f,
             }
@@ -1616,8 +1468,8 @@ impl RobustnessWrapper {
         terms: &[SizeTerm],
         write: bool,
     ) -> Option<(usize, SimValue)> {
-        // Diagnostic re-scans use throwaway counters so repair mode's
-        // kernel tallies stay identical across plan modes.
+        // Diagnostic re-scans use throwaway counters: the kernel
+        // tallies count checks, not the repair's own measurements.
         let mut scratch = CheckCounters::default();
         let Some(needed) = assertion_size(world, args, terms, &mut scratch) else {
             // The size expression itself is broken: some strlen term
@@ -1789,25 +1641,25 @@ impl RobustnessWrapper {
                 if returned_ptr != 0 {
                     self.tables
                         .heap_blocks
-                        .insert(returned_ptr, args[0].as_int().max(0) as u32);
+                        .insert(returned_ptr, int_arg(args, 0).max(0) as u32);
                 }
             }
             Track::Calloc => {
                 if returned_ptr != 0 {
-                    let size = (args[0].as_int() as u32).wrapping_mul(args[1].as_int() as u32);
+                    let size = (int_arg(args, 0) as u32).wrapping_mul(int_arg(args, 1) as u32);
                     self.tables.heap_blocks.insert(returned_ptr, size);
                 }
             }
             Track::Realloc => {
                 if returned_ptr != 0 {
-                    self.tables.heap_blocks.remove(&args[0].as_ptr());
+                    self.tables.heap_blocks.remove(&ptr_arg(args, 0));
                     self.tables
                         .heap_blocks
-                        .insert(returned_ptr, args[1].as_int().max(0) as u32);
+                        .insert(returned_ptr, int_arg(args, 1).max(0) as u32);
                 }
             }
             Track::Free => {
-                self.tables.heap_blocks.remove(&args[0].as_ptr());
+                self.tables.heap_blocks.remove(&ptr_arg(args, 0));
             }
             Track::Strdup | Track::Getcwd => {
                 if returned_ptr != 0 {
@@ -1840,7 +1692,7 @@ impl RobustnessWrapper {
                 }
             }
             Track::Fclose => {
-                let p = args[0].as_ptr();
+                let p = ptr_arg(args, 0);
                 self.tables.open_files.remove(&p);
                 self.tables.heap_blocks.remove(&p);
             }
@@ -1854,7 +1706,7 @@ impl RobustnessWrapper {
             }
             Track::Closedir => {
                 // The handle is dead whether or not closedir succeeded.
-                let p = args[0].as_ptr();
+                let p = ptr_arg(args, 0);
                 self.tables.open_dirs.remove(&p);
                 self.tables.heap_blocks.remove(&p);
             }
@@ -2372,95 +2224,93 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_interpreted_modes_agree() {
-        // The same benign + hostile call sequence through both check
-        // programs: identical results, errno, stats, and violation log.
+    fn hostile_sequence_matches_the_reference_walk() {
+        // A benign + hostile call sequence touching every check family
+        // the semi-automatic plan compiles: each check is shadowed by
+        // the reference walk (verdict, stats, cache), and the outcomes
+        // are pinned here.
         let functions = [
             "strcpy", "strlen", "malloc", "free", "fopen", "fread", "fclose", "closedir", "asctime",
         ];
-        let mut runs = Vec::new();
-        for mode in [PlanMode::Compiled, PlanMode::Interpreted] {
-            let config = WrapperConfig {
-                plan_mode: Some(mode),
-                log_violations: true,
-                ..WrapperConfig::semi_auto()
-            };
-            let (libc, mut w, mut world) = build(&functions, config);
-            assert_eq!(w.plan_mode(), mode);
-            let mut outcomes = Vec::new();
-            let block = w
-                .call(&libc, &mut world, "malloc", &[SimValue::Int(8)])
-                .unwrap();
-            outcomes.push(block);
-            let long = world.alloc_cstr("definitely longer than eight bytes");
-            // Overflow into the tracked block: violation.
-            outcomes.push(
-                w.call(&libc, &mut world, "strcpy", &[block, SimValue::Ptr(long)])
-                    .unwrap(),
-            );
-            outcomes.push(SimValue::Int(i64::from(world.proc.errno())));
-            // Valid strlen twice: second is a cache hit in both modes.
-            for _ in 0..2 {
-                outcomes.push(
-                    w.call(&libc, &mut world, "strlen", &[SimValue::Ptr(long)])
-                        .unwrap(),
-                );
-            }
-            // Wild pointer, NULL, and a garbage DIR handle.
-            outcomes.push(
-                w.call(&libc, &mut world, "strlen", &[SimValue::Ptr(INVALID_PTR)])
-                    .unwrap(),
-            );
-            outcomes.push(
-                w.call(&libc, &mut world, "asctime", &[SimValue::NULL])
-                    .unwrap(),
-            );
-            let garbage = world.alloc_buf(32);
-            outcomes.push(
-                w.call(&libc, &mut world, "closedir", &[SimValue::Ptr(garbage)])
-                    .unwrap(),
-            );
-            // fread assertion violation (64 bytes into an 8-byte block).
-            world.kernel.write_file("/tmp/modes", &[1u8; 128]).unwrap();
-            let path = world.alloc_cstr("/tmp/modes");
-            let m = world.alloc_cstr("r");
-            let stream = w
-                .call(
-                    &libc,
-                    &mut world,
-                    "fopen",
-                    &[SimValue::Ptr(path), SimValue::Ptr(m)],
-                )
-                .unwrap();
-            outcomes.push(
-                w.call(
-                    &libc,
-                    &mut world,
-                    "fread",
-                    &[block, SimValue::Int(8), SimValue::Int(8), stream],
-                )
+        let config = WrapperConfig {
+            log_violations: true,
+            ..WrapperConfig::semi_auto()
+        };
+        let (libc, mut w, mut world) = build(&functions, config);
+        let mut outcomes = Vec::new();
+        let block = w
+            .call(&libc, &mut world, "malloc", &[SimValue::Int(8)])
+            .unwrap();
+        outcomes.push(block);
+        let long = world.alloc_cstr("definitely longer than eight bytes");
+        // Overflow into the tracked block: violation.
+        outcomes.push(
+            w.call(&libc, &mut world, "strcpy", &[block, SimValue::Ptr(long)])
                 .unwrap(),
+        );
+        outcomes.push(SimValue::Int(i64::from(world.proc.errno())));
+        // Valid strlen twice: the second is a cache hit.
+        for _ in 0..2 {
+            outcomes.push(
+                w.call(&libc, &mut world, "strlen", &[SimValue::Ptr(long)])
+                    .unwrap(),
             );
-            w.call(&libc, &mut world, "fclose", &[stream]).unwrap();
-            w.call(&libc, &mut world, "free", &[block]).unwrap();
-            runs.push((
-                format!("{outcomes:?}"),
-                format!(
-                    "{:?}",
-                    (
-                        w.stats.calls,
-                        w.stats.wrapped_calls,
-                        w.stats.checks,
-                        w.stats.violations,
-                        w.stats.check_cache_hits,
-                        w.stats.check_kinds,
-                        w.stats.check_outcomes,
-                    )
-                ),
-                format!("{:?}", w.violations()),
-            ));
         }
-        assert_eq!(runs[0], runs[1], "compiled and interpreted modes diverged");
+        // Wild pointer, NULL, and a garbage DIR handle.
+        outcomes.push(
+            w.call(&libc, &mut world, "strlen", &[SimValue::Ptr(INVALID_PTR)])
+                .unwrap(),
+        );
+        outcomes.push(
+            w.call(&libc, &mut world, "asctime", &[SimValue::NULL])
+                .unwrap(),
+        );
+        let garbage = world.alloc_buf(32);
+        outcomes.push(
+            w.call(&libc, &mut world, "closedir", &[SimValue::Ptr(garbage)])
+                .unwrap(),
+        );
+        // fread assertion violation (64 bytes into an 8-byte block).
+        world.kernel.write_file("/tmp/modes", &[1u8; 128]).unwrap();
+        let path = world.alloc_cstr("/tmp/modes");
+        let m = world.alloc_cstr("r");
+        let stream = w
+            .call(
+                &libc,
+                &mut world,
+                "fopen",
+                &[SimValue::Ptr(path), SimValue::Ptr(m)],
+            )
+            .unwrap();
+        outcomes.push(
+            w.call(
+                &libc,
+                &mut world,
+                "fread",
+                &[block, SimValue::Int(8), SimValue::Int(8), stream],
+            )
+            .unwrap(),
+        );
+        w.call(&libc, &mut world, "fclose", &[stream]).unwrap();
+        w.call(&libc, &mut world, "free", &[block]).unwrap();
+        assert_eq!(outcomes[1], SimValue::NULL, "strcpy overflow refused");
+        assert_eq!(outcomes[3], outcomes[4], "repeat strlen agrees");
+        assert!(w.stats.check_cache_hits >= 1);
+        let logged: Vec<(&str, &str)> = w
+            .violations()
+            .iter()
+            .map(|v| (v.function.as_str(), v.check.as_str()))
+            .collect();
+        assert_eq!(
+            logged,
+            [
+                ("strcpy", "size assertion over [StrlenArg(1), Const(1)]"),
+                ("strlen", "NTS"),
+                ("closedir", "OPEN_DIR"),
+                ("fread", "size assertion over [ArgProduct(1, 2)]"),
+            ]
+        );
+        assert_eq!(w.stats.violations, 4);
     }
 
     #[test]
@@ -2673,18 +2523,17 @@ mod tests {
     }
 
     #[test]
-    fn repair_mode_resolves_every_reject_across_plan_modes() {
+    fn repair_mode_resolves_every_reject() {
         // Acceptance criterion: every call reject-mode answers with
         // `Rejected` completes under repair-mode with `Repaired` or
-        // `Pass` — zero aborts, zero wrapped crashes — and the repair
-        // tallies are identical across plan modes.
+        // `Pass` — zero aborts, zero wrapped crashes — with every
+        // check (re-runs included) shadowed by the reference walk.
         let functions = [
             "strlen", "strcpy", "sprintf", "asctime", "fclose", "closedir", "malloc",
         ];
-        let drive = |action: ViolationAction, mode: PlanMode| {
+        let drive = |action: ViolationAction| {
             let config = WrapperConfig {
                 action,
-                plan_mode: Some(mode),
                 ..WrapperConfig::semi_auto()
             };
             let (libc, mut w, mut world) = build(&functions, config);
@@ -2713,23 +2562,21 @@ mod tests {
             let tallies = format!("{:?}", w.stats.check_outcomes);
             (verdicts, w.stats.repairs, tallies)
         };
-        let (rejected, _, _) = drive(ViolationAction::ReturnError, PlanMode::Compiled);
-        let (repaired_c, nfix_c, tally_c) = drive(ViolationAction::Repair, PlanMode::Compiled);
-        let (repaired_i, nfix_i, tally_i) = drive(ViolationAction::Repair, PlanMode::Interpreted);
+        let (rejected, _, _) = drive(ViolationAction::ReturnError);
+        let (repaired, nfix, tally) = drive(ViolationAction::Repair);
         for (i, v) in rejected.iter().enumerate() {
             if matches!(v, Verdict::Rejected { .. }) {
                 assert!(
-                    matches!(repaired_c[i], Verdict::Repaired { .. } | Verdict::Pass),
+                    matches!(repaired[i], Verdict::Repaired { .. } | Verdict::Pass),
                     "call {i}: reject-mode said {v:?} but repair-mode said {:?}",
-                    repaired_c[i]
+                    repaired[i]
                 );
             }
         }
         assert!(rejected
             .iter()
             .any(|v| matches!(v, Verdict::Rejected { .. })));
-        assert_eq!(repaired_c, repaired_i, "plan modes disagreed on verdicts");
-        assert_eq!(nfix_c, nfix_i);
-        assert_eq!(tally_c, tally_i, "plan modes disagreed on tallies");
+        assert!(nfix > 0);
+        assert!(tally.contains("repaired"), "{tally}");
     }
 }

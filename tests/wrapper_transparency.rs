@@ -113,3 +113,31 @@ proptest! {
         prop_assert_eq!(world.proc.mem.read_u8(dst.as_ptr()).unwrap(), 0);
     }
 }
+
+/// A short argument vector reads its missing arguments as `Void`, the
+/// way the library itself reads them: where the bare library returns,
+/// the wrapper — postfix tracking included — returns the same value.
+#[test]
+fn short_argument_vectors_return_like_the_bare_library() {
+    let libc = Libc::standard();
+    let decls = analyze(&libc, &["malloc", "free", "realloc", "calloc"]);
+    let calls: [(&str, &[SimValue]); 4] = [
+        ("malloc", &[]),
+        ("free", &[]),
+        ("realloc", &[SimValue::NULL]),
+        ("calloc", &[SimValue::Int(4)]),
+    ];
+    for (name, args) in calls {
+        let direct = libc
+            .call(&mut World::new(), name, args)
+            .expect("the bare library returns");
+        let mut wrapper = WrapperBuilder::new()
+            .decls(decls.clone())
+            .config(WrapperConfig::full_auto())
+            .build();
+        let wrapped = wrapper
+            .call(&libc, &mut World::new(), name, args)
+            .expect("the wrapper returns");
+        assert_eq!(wrapped, direct, "{name}{args:?}");
+    }
+}
